@@ -25,10 +25,10 @@ Each takes an optional :class:`ThorConfig` for *what to compute*
 (execution concerns — compute backend, worker processes, the
 persistent artifact cache — ride on ``ThorConfig.execution``), and an
 optional :class:`RunOptions` for *how this invocation behaves* —
-naming (``run_id``), resumption (``resume``), single-pass scheduling
-(``streaming``), and seeded chaos (``fault_plan``). (The pre-1.0 bare
-``run_id``/``resume``/``streaming`` keyword arguments completed their
-one-release deprecation and are gone.)
+naming (``run_id``), resumption (``resume``), reuse of the stored site
+model (``incremental``), and seeded chaos (``fault_plan``). (The
+pre-1.0 bare keyword arguments are gone: every per-invocation option
+rides on ``RunOptions``.)
 
 Exactly the names in ``__all__`` are covered by the facade's stability
 promise; deeper module paths (``repro.core.*``, ``repro.cluster.*``)
@@ -153,7 +153,9 @@ def extract(
     ``ExecutionConfig.min_surviving_fraction``); the accounting rides
     on ``result.report``. A :class:`RunOptions` with a ``run_id``
     checkpoints the Phase-1 fit, and ``options.resume`` restores it —
-    skipping the K-Means restarts with a bitwise-identical result.
+    skipping the K-Means restarts with a bitwise-identical result;
+    ``options.resume`` without a ``run_id`` raises :class:`ResumeError`,
+    as it does for :func:`run`.
     """
     options = options if options is not None else RunOptions()
     return Thor(config or DEFAULT_CONFIG, fault_plan=options.fault_plan).extract(
@@ -172,11 +174,10 @@ def run(
     configured), each completed stage is checkpointed;
     ``options.resume`` then skips checkpointed stages after a crash —
     the probe *and* the Phase-1 cluster fit — and reproduces the
-    identical result digest. ``options.streaming`` overlaps the stages
-    single-pass (pages prewarm Phase-2 state as the probe returns
-    them, partitioning overlaps identification) while producing a
-    bitwise identical result digest; ``options.fault_plan`` injects
-    seeded chaos.
+    identical result digest. ``options.incremental`` re-extracts
+    against the site's stored model (unchanged clusters replay, the
+    delta is assigned to the stored clusters) with the digest of a
+    cold run; ``options.fault_plan`` injects seeded chaos.
     """
     options = options if options is not None else RunOptions()
     return Thor(config or DEFAULT_CONFIG, fault_plan=options.fault_plan).run(

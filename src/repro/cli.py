@@ -46,7 +46,6 @@ from typing import Optional, Sequence
 from repro.config import (
     BACKENDS,
     INCREMENTAL_MODES,
-    RECORD_TRANSPORTS,
     WATCHDOG_STAGES,
     ExecutionConfig,
     FleetConfig,
@@ -78,15 +77,15 @@ def _thor_config(args: argparse.Namespace) -> ThorConfig:
     no_artifact_cache = getattr(args, "no_artifact_cache", False)
     no_recovery = getattr(args, "no_recovery", False)
     chunk_retries = getattr(args, "chunk_retries", None)
-    stage_timeout_s = getattr(args, "stage_timeout_s", None)
     stage_timeout_entries = getattr(args, "stage_timeout", None)
     stage_timeouts = (
-        StageTimeouts(**dict(stage_timeout_entries))
+        StageTimeouts(
+            **dict(pair for entry in stage_timeout_entries for pair in entry)
+        )
         if stage_timeout_entries
         else None
     )
     min_surviving = getattr(args, "min_surviving_fraction", None)
-    record_transport = getattr(args, "record_transport", None)
     distance_memo = getattr(args, "distance_memo_entries", None)
     if (
         backend is not None
@@ -95,10 +94,8 @@ def _thor_config(args: argparse.Namespace) -> ThorConfig:
         or no_artifact_cache
         or no_recovery
         or chunk_retries is not None
-        or stage_timeout_s is not None
         or stage_timeouts is not None
         or min_surviving is not None
-        or record_transport is not None
         or distance_memo is not None
     ):
         defaults = ExecutionConfig()
@@ -113,14 +110,10 @@ def _thor_config(args: argparse.Namespace) -> ThorConfig:
                 chunk_retries=defaults.chunk_retries
                 if chunk_retries is None
                 else chunk_retries,
-                stage_timeout_s=stage_timeout_s,
                 stage_timeouts=stage_timeouts,
                 min_surviving_fraction=defaults.min_surviving_fraction
                 if min_surviving is None
                 else min_surviving,
-                record_transport=defaults.record_transport
-                if record_transport is None
-                else record_transport,
                 distance_memo_entries=defaults.distance_memo_entries
                 if distance_memo is None
                 else distance_memo,
@@ -289,7 +282,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         options=RunOptions(
             run_id=args.run_id,
             resume=args.resume,
-            streaming=getattr(args, "streaming", False),
             incremental=getattr(args, "incremental", False),
         ),
     )
@@ -398,7 +390,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     options = RunOptions(
         run_id=args.fleet_id,
         resume=args.resume,
-        streaming=getattr(args, "streaming", False),
         fault_plan=_fault_plan(args),
     )
     try:
@@ -618,13 +609,13 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def _stage_timeout_entry(text: str):
-    """Argparse type for ``--stage-timeout STAGE=SECONDS``."""
-    stage, sep, value = text.partition("=")
+    """Argparse type for ``--stage-timeout [STAGE=]SECONDS``: the
+    ``(stage, seconds)`` pairs it sets — every stage when none is
+    named."""
+    stage, sep, value = text.rpartition("=")
     if not sep:
-        raise argparse.ArgumentTypeError(
-            f"expected STAGE=SECONDS, got {text!r}"
-        )
-    if stage not in WATCHDOG_STAGES:
+        stage = "every stage"
+    elif stage not in WATCHDOG_STAGES:
         raise argparse.ArgumentTypeError(
             f"unknown stage {stage!r}; valid: {', '.join(WATCHDOG_STAGES)}"
         )
@@ -638,7 +629,11 @@ def _stage_timeout_entry(text: str):
         raise argparse.ArgumentTypeError(
             f"bad deadline {value!r} for stage {stage!r}: must be > 0"
         )
-    return (stage, seconds)
+    return [
+        (name, seconds)
+        for name in WATCHDOG_STAGES
+        if not sep or name == stage
+    ]
 
 
 def _quota_entry(text: str):
@@ -701,30 +696,19 @@ def build_parser() -> argparse.ArgumentParser:
              "(default 2)",
     )
     execution.add_argument(
-        "--stage-timeout-s", type=float, default=None, dest="stage_timeout_s",
-        help="wall-clock watchdog deadline per pipeline stage "
-             "(default: no deadline)",
-    )
-    execution.add_argument(
         "--stage-timeout", action="append", type=_stage_timeout_entry,
-        default=None, dest="stage_timeout", metavar="STAGE=SECONDS",
-        help="per-stage watchdog override, repeatable (stages: "
+        default=None, dest="stage_timeout", metavar="[STAGE=]SECONDS",
+        help="wall-clock watchdog deadline, repeatable: STAGE=SECONDS "
+             "sets one stage ("
              + ", ".join(WATCHDOG_STAGES)
-             + "; later entries win; unlisted stages fall back to "
-               "--stage-timeout-s)",
+             + "), a bare SECONDS every stage; later entries win "
+               "(default: no deadline)",
     )
     execution.add_argument(
         "--min-surviving-fraction", type=float, default=None,
         dest="min_surviving_fraction",
         help="abort extraction when fewer than this fraction of pages "
              "survives the quarantine scan (default 0.5)",
-    )
-    execution.add_argument(
-        "--record-transport", choices=list(RECORD_TRANSPORTS), default=None,
-        dest="record_transport",
-        help="wire format for Phase-2 records crossing process "
-             "boundaries (default columnar; pickle is the uncompressed "
-             "baseline)",
     )
     execution.add_argument(
         "--distance-memo-entries", type=int, default=None,
@@ -824,12 +808,6 @@ def build_parser() -> argparse.ArgumentParser:
              "uninterrupted run)",
     )
     run.add_argument(
-        "--streaming", action="store_true",
-        help="single-pass pipeline: start Phase-2 work as probed pages "
-             "land and overlap partitioning with identification (the "
-             "result digest matches a barriered run bitwise)",
-    )
-    run.add_argument(
         "--incremental", action="store_true",
         help="re-extract O(delta) against the stored site model: "
              "unchanged pages replay from cache, changed pages are "
@@ -891,10 +869,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-sites", type=int, default=None, dest="max_sites",
         help="admit at most this many sites this invocation and defer "
              "the rest (graceful drain; finish with --resume)",
-    )
-    fleet.add_argument(
-        "--streaming", action="store_true",
-        help="run each site's pipeline single-pass (same digests)",
     )
     fleet.add_argument(
         "--quota", action="append", type=_quota_entry, default=None,

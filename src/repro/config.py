@@ -17,8 +17,6 @@ import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
-from repro.errors import ConfigError
-
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.resilience.faults import FaultPlan
 
@@ -30,13 +28,6 @@ BACKENDS = ("python", "numpy")
 #: Valid :class:`ExecutionConfig` cache policies.
 CACHE_POLICIES = ("on", "off")
 
-#: Valid cross-process record transports: "columnar" ships candidate
-#: records as compressed numpy column bundles (npz bytes), "pickle"
-#: ships the record objects themselves (the pre-columnar baseline,
-#: and the fallback on numpy-less machines).
-RECORD_TRANSPORTS = ("columnar", "pickle")
-
-
 #: Pipeline stages a watchdog deadline can be set for.
 WATCHDOG_STAGES = ("probe", "cluster", "identify", "partition")
 
@@ -45,11 +36,10 @@ WATCHDOG_STAGES = ("probe", "cluster", "identify", "partition")
 class StageTimeouts:
     """Per-stage wall-clock watchdog deadlines, in seconds.
 
-    One global ``ExecutionConfig.stage_timeout_s`` fits no real
-    pipeline: probing is network-bound (seconds to minutes of latency,
-    almost no CPU) while identification is CPU-bound (no latency, all
-    compute). A field set here overrides the global deadline for that
-    stage only; ``None`` fields fall back to ``stage_timeout_s``.
+    One deadline fits no real pipeline: probing is network-bound
+    (seconds to minutes of latency, almost no CPU) while identification
+    is CPU-bound (no latency, all compute), so each stage has its own.
+    ``None`` fields run that stage without a watchdog.
     """
 
     probe: Optional[float] = None
@@ -113,27 +103,17 @@ class ExecutionConfig:
     #: fallback (counts retries, not total attempts; 0 = fall straight
     #: back to serial).
     chunk_retries: int = 2
-    #: Wall-clock deadline per pipeline stage in seconds (``None`` =
-    #: no watchdog). A stage that exceeds it is cancelled: per-cluster
-    #: Phase-2 analysis degrades (the cluster is quarantined), other
-    #: stages raise :class:`~repro.errors.StageTimeoutError`.
-    stage_timeout_s: Optional[float] = None
-    #: Per-stage watchdog overrides (:class:`StageTimeouts`); a stage
-    #: named there uses its own deadline, the rest fall back to
-    #: ``stage_timeout_s`` (see :func:`resolve_stage_timeout`).
+    #: Per-stage wall-clock deadlines (:class:`StageTimeouts`;
+    #: ``None`` = no watchdog). A stage that exceeds its deadline is
+    #: cancelled: per-cluster Phase-2 analysis degrades (the cluster is
+    #: quarantined), other stages raise
+    #: :class:`~repro.errors.StageTimeoutError`.
     stage_timeouts: Optional[StageTimeouts] = None
     #: Minimum fraction of the page sample that must survive the
     #: quarantine scan for extraction to proceed; below it the sample
     #: is considered junk and :class:`~repro.errors.ExtractionError`
     #: is raised rather than extracting from noise.
     min_surviving_fraction: float = 0.5
-    #: How Phase-2 candidate records cross process boundaries:
-    #: "columnar" packs each worker's records into one compressed
-    #: numpy column bundle (int-coded paths, shape arrays, CSR term
-    #: counts — see :mod:`repro.core.columnar`), "pickle" ships the
-    #: record objects directly. Columnar silently degrades to pickle
-    #: on numpy-less machines (:func:`resolve_record_transport`).
-    record_transport: str = "columnar"
     #: LRU entry cap of the Phase-2 quadruple distance-matrix memo
     #: (:func:`repro.core.subtree_sets.set_quad_matrix_memo_limit`);
     #: 0 disables memoization. Long fleet runs visiting many sites
@@ -162,19 +142,10 @@ class ExecutionConfig:
             raise ValueError(
                 f"chunk_retries must be >= 0, got {self.chunk_retries}"
             )
-        if self.stage_timeout_s is not None and self.stage_timeout_s <= 0:
-            raise ValueError(
-                f"stage_timeout_s must be > 0, got {self.stage_timeout_s}"
-            )
         if not 0.0 <= self.min_surviving_fraction <= 1.0:
             raise ValueError(
                 "min_surviving_fraction must be in [0, 1], got "
                 f"{self.min_surviving_fraction}"
-            )
-        if self.record_transport not in RECORD_TRANSPORTS:
-            raise ValueError(
-                f"unknown record transport {self.record_transport!r}; "
-                f"valid: {', '.join(RECORD_TRANSPORTS)}"
             )
         if self.distance_memo_entries < 0:
             raise ValueError(
@@ -279,69 +250,28 @@ def resolve_cache_dir(execution: "BackendSelection" = None) -> Optional[str]:
     return os.environ.get("REPRO_CACHE_DIR") or None
 
 
-def resolve_record_transport(execution: "BackendSelection" = None) -> str:
-    """Resolve the cross-process record transport for an execution plan.
-
-    ``"columnar"`` (the default) requires numpy for the column packing;
-    on numpy-less machines it degrades to ``"pickle"`` rather than
-    failing — transport is a wire format, not a compute backend, so
-    the silent downgrade cannot change any result.
-
-    >>> resolve_record_transport(ExecutionConfig(record_transport="pickle"))
-    'pickle'
-    """
-    transport = "columnar"
-    if isinstance(execution, ExecutionConfig):
-        transport = execution.record_transport
-    if transport == "columnar":
-        from repro.vsm.matrix import HAVE_NUMPY
-
-        if not HAVE_NUMPY:
-            return "pickle"
-    return transport
-
-
 def resolve_stage_timeout(
     execution: Optional[ExecutionConfig], stage: str
 ) -> Optional[float]:
-    """The effective watchdog deadline for one pipeline stage.
+    """The watchdog deadline of one pipeline stage (``None`` = none).
 
-    A per-stage override (``ExecutionConfig.stage_timeouts``) wins;
-    otherwise the global ``stage_timeout_s`` applies; ``None`` means no
-    watchdog. Unknown stage names raise — a misspelled stage would
-    otherwise silently run without its intended deadline.
+    Unknown stage names raise — a misspelled stage would otherwise
+    silently run without its intended deadline.
 
-    >>> ex = ExecutionConfig(
-    ...     stage_timeout_s=30.0, stage_timeouts=StageTimeouts(probe=120.0)
-    ... )
+    >>> ex = ExecutionConfig(stage_timeouts=StageTimeouts(probe=120.0))
     >>> resolve_stage_timeout(ex, "probe")
     120.0
-    >>> resolve_stage_timeout(ex, "identify")
-    30.0
+    >>> resolve_stage_timeout(ex, "identify") is None
+    True
     """
     if stage not in WATCHDOG_STAGES:
         raise ValueError(
             f"unknown watchdog stage {stage!r}; "
             f"valid: {', '.join(WATCHDOG_STAGES)}"
         )
-    if execution is None:
+    if execution is None or execution.stage_timeouts is None:
         return None
-    if execution.stage_timeouts is not None:
-        override = getattr(execution.stage_timeouts, stage)
-        if override is not None:
-            return override
-    return execution.stage_timeout_s
-
-
-def _removed_backend_field(owner: str, backend: Optional[str]) -> None:
-    """The per-stage ``backend`` fields graduated from deprecated to
-    removed: setting one is now a typed :class:`ConfigError`."""
-    if backend is not None:
-        raise ConfigError(
-            f"{owner}.backend was removed; set "
-            "ThorConfig(execution=ExecutionConfig(backend=...)) "
-            "(or pass an ExecutionConfig to the stage driver) instead"
-        )
+    return getattr(execution.stage_timeouts, stage)
 
 
 #: Valid :class:`IncrementalConfig` modes.
@@ -390,10 +320,11 @@ class RunOptions:
     """Per-invocation options of one pipeline run — the job surface.
 
     :func:`repro.api.run`, :func:`repro.api.extract` and
-    :func:`repro.api.run_fleet` all accept one ``RunOptions`` instead
-    of a sprawl of keyword arguments: *what* to compute rides on the
-    positional arguments, *how this invocation behaves* (naming,
-    resumption, scheduling, chaos) rides here. Options are
+    :func:`repro.api.run_fleet` (and ``Thor.run``/``extract``/
+    ``refresh``) all accept one ``RunOptions`` instead of a sprawl of
+    keyword arguments: *what* to compute rides on the positional
+    arguments, *how this invocation behaves* (naming, resumption,
+    reuse of the stored model, chaos) rides here. Options are
     config-fingerprint-neutral by construction: nothing in this object
     may change a result digest. ``incremental`` is the one deliberate
     carve-out: it substitutes replayed/assigned results from the
@@ -407,11 +338,8 @@ class RunOptions:
     run_id: Optional[str] = None
     #: Skip stages (or fleet sites) already checkpointed under
     #: ``run_id``; the resumed result digest is bitwise identical to an
-    #: uninterrupted run's.
+    #: uninterrupted run's. Requires ``run_id``.
     resume: bool = False
-    #: Single-pass scheduling: overlap Phase-2 prewarming with the
-    #: probe and partitioning with identification (digest unchanged).
-    streaming: bool = False
     #: Seeded chaos plan injected into the run (tests/CI drills);
     #: ``None`` — the default — injects nothing.
     fault_plan: Optional["FaultPlan"] = None
@@ -490,14 +418,6 @@ class ClusteringConfig:
     #: max fanout, page size); the paper uses "a simple linear
     #: combination".
     ranking_weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
-    #: Removed: the per-stage compute backend graduated through its
-    #: deprecation cycle. Setting it raises
-    #: :class:`~repro.errors.ConfigError`; set
-    #: ``ThorConfig.execution=ExecutionConfig(backend=...)`` instead.
-    backend: str | None = None
-
-    def __post_init__(self) -> None:
-        _removed_backend_field("ClusteringConfig", self.backend)
 
 
 @dataclass(frozen=True)
@@ -530,14 +450,6 @@ class SubtreeConfig:
     #: Require candidates to contain a branching node (fanout > 1).
     #: The paper's third single-page rule is ambiguous; off by default.
     require_branching: bool = False
-    #: Removed: the per-stage compute backend graduated through its
-    #: deprecation cycle. Setting it raises
-    #: :class:`~repro.errors.ConfigError`; set
-    #: ``ThorConfig.execution=ExecutionConfig(backend=...)`` instead.
-    backend: str | None = None
-
-    def __post_init__(self) -> None:
-        _removed_backend_field("SubtreeConfig", self.backend)
 
 
 @dataclass(frozen=True)
@@ -773,13 +685,6 @@ class ThorConfig:
     #: fingerprint: drift policy decides *how much stored work to
     #: reuse*, not what a cold result is.
     incremental: IncrementalConfig = field(default_factory=IncrementalConfig)
-
-    def resolved_execution(self) -> ExecutionConfig:
-        """The effective execution config. (Once this folded in the
-        legacy per-stage ``backend`` fields; those are removed, so this
-        is now the identity — kept because it remains the documented
-        way to ask a ``ThorConfig`` how it computes.)"""
-        return self.execution
 
 
 DEFAULT_CONFIG = ThorConfig()

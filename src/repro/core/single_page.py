@@ -31,12 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from repro.config import (
-    ExecutionConfig,
-    resolve_cache_dir,
-    resolve_n_jobs,
-    resolve_record_transport,
-)
+from repro.config import ExecutionConfig, resolve_cache_dir, resolve_n_jobs
 from repro.core.page import Page
 from repro.html.metrics import subtree_shape
 from repro.html.paths import node_tag_sequence
@@ -292,8 +287,8 @@ def candidate_records_for_cluster(
 
     With ``execution.n_jobs > 1`` the cluster's pages fan out over a
     process pool (each worker ships only HTML strings and returns
-    node-free records — by default packed into columnar npz bytes,
-    see ``ExecutionConfig.record_transport``); with a configured cache
+    node-free records packed into columnar npz bytes, see
+    :mod:`repro.core.columnar`); with a configured cache
     directory each page's records are served from — or published to —
     the persistent store. Output order follows ``pages``, and per-page
     record order is the document order of :func:`candidate_subtrees`,
@@ -302,23 +297,17 @@ def candidate_records_for_cluster(
     n_jobs = resolve_n_jobs(execution)
     cache_root = resolve_cache_dir(execution)
     if n_jobs > 1 and len(pages) > 1:
+        from repro.core.columnar import unpack_records
         from repro.runtime import run_chunked
 
-        worker = _records_worker
-        unpack = None
-        if resolve_record_transport(execution) == "columnar":
-            from repro.core.columnar import unpack_records
-
-            worker = _columnar_records_worker
-            unpack = unpack_records
         return run_chunked(
-            worker,
+            _columnar_records_worker,
             (require_branching, cache_root),
             [page.html for page in pages],
             n_jobs,
             label="phase2-records",
             execution=execution,
-            unpack=unpack,
+            unpack=unpack_records,
         )
     from repro.runtime import artifact_store_for
 

@@ -7,19 +7,29 @@
    Phase 2 (QA-Pagelet identification) over the top-m clusters;
 3. :meth:`Thor.partition` — Stage 3 QA-Object partitioning.
 
-:meth:`Thor.run` does all three. Each stage is also usable standalone,
-which is how the evaluation isolates Phase 2 (Figure 8) from Phase 1.
+:meth:`Thor.run` does all three, and :meth:`Thor.refresh` re-runs
+Stages 2+3 against the site's stored model. Each stage is also usable
+standalone, which is how the evaluation isolates Phase 2 (Figure 8)
+from Phase 1.
 
-The driver is fault-tolerant (DESIGN.md §11): pages and clusters whose
-analysis raises a :class:`~repro.errors.ThorError` are *quarantined*
-with structured reasons instead of aborting the run (as long as
+``run``, ``extract`` and ``refresh`` are thin entry points onto one
+stage driver (:meth:`Thor._drive`, DESIGN.md §11) that calls each
+stage — probe, cluster, identify, partition — from exactly one place.
+Before a stage computes, the driver looks up a stored answer: a
+resumed run (``RunOptions.resume``) reads the probe and Phase-1
+checkpoints of its run manifest, an incremental run
+(``RunOptions.incremental``) assigns Phase 1 from the site model and
+replays the Phase-2/3 outcome of every cluster whose membership is
+unchanged (DESIGN.md §15). A lookup that misses falls through to the
+same computation a cold run does, so resumed == uninterrupted and
+incremental == cold hold by construction.
+
+The driver is fault-tolerant: pages and clusters whose analysis raises
+a :class:`~repro.errors.ThorError` are *quarantined* with structured
+reasons instead of aborting the run (as long as
 ``ExecutionConfig.min_surviving_fraction`` of the sample survives),
-stages run under optional wall-clock watchdogs
-(``ExecutionConfig.stage_timeout_s``, overridable per stage through
-``ExecutionConfig.stage_timeouts``), named runs checkpoint their
-stages through the artifact store so ``Thor.run(..., resume=True)``
-skips finished work — the probe *and* the Phase-1 cluster fit — after
-a crash, and every run's degradations are
+stages run under optional per-stage wall-clock watchdogs
+(``ExecutionConfig.stage_timeouts``), and every run's degradations are
 accounted for on a :class:`~repro.resilience.report.RunReport`
 (``ThorResult.report``). A seeded
 :class:`~repro.resilience.faults.FaultPlan` can be attached for
@@ -83,7 +93,6 @@ from repro.runtime import artifact_store_for
 from repro.signatures.content import content_signature
 from repro.signatures.tag import tag_signature
 from repro.text.terms import DEFAULT_EXTRACTOR
-from repro.vsm.matrix import HAVE_NUMPY
 
 #: Clustering configurations the incremental model can assign against
 #: (tf-idf vector spaces reconstructible from the stored vocabulary +
@@ -121,6 +130,21 @@ class ThorResult:
         return None
 
 
+@dataclass
+class _ModelHit:
+    """A stored site model that answers Phase 1 of an incremental run."""
+
+    model: SiteModel
+    #: Content key → stored Phase-1 label (first occurrence wins).
+    labels: dict[str, int]
+    #: ``id(page)`` → content key, for every page of the run.
+    keys: dict[int, str]
+    #: ``id(page)`` → fingerprint the drift gate already computed.
+    fingerprints: dict[int, frozenset] = field(default_factory=dict)
+    #: Ids of the pages assigned to the stored centroids (the delta).
+    assigned: frozenset[int] = frozenset()
+
+
 class Thor:
     """The THOR extraction system."""
 
@@ -130,11 +154,9 @@ class Thor:
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         self.config = config
-        # Resolve the execution plan (backend / n_jobs / cache) once —
-        # folding in the deprecated per-stage backend fields — and hand
-        # the same plan to every stage driver.
-        execution = config.resolved_execution()
-        self.execution = execution
+        #: The execution plan (backend / n_jobs / cache) every stage
+        #: shares.
+        self.execution = execution = config.execution
         #: Seeded chaos injected into this instance's runs (tests/CI);
         #: ``None`` — the default — injects nothing.
         self.fault_plan = fault_plan
@@ -148,13 +170,13 @@ class Thor:
             config.subtrees, seed=config.seed, execution=execution
         )
         self._partitioner = ObjectPartitioner(config.subtrees)
-        #: Artifact-cache counters folded in at each extract() flush.
+        #: Artifact-cache counters folded in at each extraction flush.
         self._artifact_stats: dict[str, int] = {}
         #: Resilience ledger, accumulated across this instance's stages.
         self._report = RunReportBuilder()
-        #: Per-cluster outcomes of the latest fit/refresh — the raw
+        #: Per-cluster outcomes of the latest extraction — the raw
         #: material :meth:`persist_model` bundles into the ``models/``
-        #: artifact. ``None`` until an extract or refresh completes.
+        #: artifact. ``None`` until an extraction completes.
         self._last_fit: Optional[dict] = None
 
     # -- resilience accounting -------------------------------------------
@@ -176,96 +198,12 @@ class Thor:
         for record in records:
             self._report.quarantine(record)
 
-    # -- stage 1 ---------------------------------------------------------
+    # -- entry points ------------------------------------------------------
 
     def probe(self, source: DeepWebSource) -> ProbeResult:
         """Stage 1: collect sample pages from ``source``."""
         with activate_fault_plan(self.fault_plan), activate_report(self._report):
-            return self._probe_guarded(source)
-
-    def _probe_guarded(
-        self, source: DeepWebSource, tap=None
-    ) -> ProbeResult:
-        plan = active_fault_plan()
-        if plan is not None and plan.source is not None:
-            from repro.probe.faults import FaultInjectingSource
-
-            if not isinstance(source, FaultInjectingSource):
-                source = FaultInjectingSource(
-                    source, plan.source, seed=plan.seed
-                )
-        if tap is not None:
-            from repro.runtime import StreamingSourceTap
-
-            # The tap wraps *outside* any fault injector, so only pages
-            # the prober actually receives land on the stream.
-            source = StreamingSourceTap(source, tap)
-        return run_stage(
-            lambda: self._prober.probe(source),
-            "probe",
-            resolve_stage_timeout(self.execution, "probe"),
-        )
-
-    def _streamed_probe(self, source: DeepWebSource) -> ProbeResult:
-        """Stage 1 with page-level streaming into Phase-2 prewarming.
-
-        The probe runs on a helper thread (the active fault plan and
-        report stacks are process-global, so injection and accounting
-        are unchanged); each page is prewarmed here — artifact-store
-        priming plus signature computation — the moment the source
-        returns it. Prewarming only populates lazy per-page caches, so
-        the returned :class:`ProbeResult` (and everything extracted
-        from it) is bitwise identical to a barriered probe.
-        """
-        import threading
-
-        from repro.runtime import PageStream
-
-        stream = PageStream()
-        outcome: dict = {}
-
-        def produce() -> None:
-            try:
-                outcome["result"] = self._probe_guarded(source, tap=stream)
-            except BaseException as exc:  # re-raised on the main thread
-                outcome["error"] = exc
-            finally:
-                stream.close()
-
-        producer = threading.Thread(
-            target=produce, name="thor-streaming-probe", daemon=True
-        )
-        producer.start()
-        store = artifact_store_for(self.execution)
-        load_tree = self._tree_loader(store)
-        for page in stream:
-            self._prewarm_page(page, store, load_tree)
-        producer.join()
-        if "error" in outcome:
-            raise outcome["error"]
-        return outcome["result"]
-
-    def _prewarm_page(self, page: Page, store, load_tree) -> None:
-        """Start one streamed page's Phase-2 work early (best effort).
-
-        Store priming and signature computation both populate lazy
-        caches that :meth:`_prime_pages` / :meth:`_quarantine_scan`
-        would otherwise fill later — computing them here moves work
-        into the probe's wall-clock shadow without changing any value.
-        A page whose analysis raises is left for the canonical
-        quarantine scan, which alone decides survival (in final page
-        order, so quarantine records match the barriered run).
-        """
-        try:
-            if store is not None:
-                self._prime_page(page, store, load_tree)
-            page.tag_counts()
-            page.term_counts()
-            page.max_fanout()
-        except ThorError:
-            pass
-
-    # -- stage 2 ---------------------------------------------------------
+            return self._probe(source)
 
     def extract(
         self, pages: Sequence[Page], options: Optional[RunOptions] = None
@@ -278,11 +216,10 @@ class Thor:
         computed on this run are persisted afterwards — the cache only
         changes *when* values are computed, never what they are.
 
-        A :class:`~repro.config.RunOptions` with a ``run_id`` makes the
-        extraction checkpointed: the Phase-1 fit is published to the
-        run manifest once computed, and ``options.resume`` restores it
-        (skipping the K-Means restarts) with a bitwise-identical
-        result.
+        ``options`` apply exactly as in :meth:`run`: a ``run_id``
+        checkpoints the Phase-1 fit, ``resume`` restores it (skipping
+        the K-Means restarts) with a bitwise-identical result, and
+        ``incremental`` answers Phase 1 from the stored site model.
 
         Pages whose parse or signature analysis raises a
         :class:`~repro.errors.ThorError` are quarantined (with a
@@ -295,122 +232,213 @@ class Thor:
         under its watchdog deadline) is likewise quarantined whole, and
         the remaining clusters still produce pagelets.
         """
+        return self._drive(options, pages=pages, partition=False)
+
+    def partition(self, result: ThorResult) -> ThorResult:
+        """Stage 3: partition every extracted pagelet into QA-Objects.
+
+        A pagelet whose partitioning raises a
+        :class:`~repro.errors.ThorError` is quarantined (it keeps its
+        place in ``pagelets`` but contributes no partitioned entry)
+        rather than aborting the stage.
+        """
         with activate_fault_plan(self.fault_plan), activate_report(self._report):
-            store = manifest = None
-            if options is not None and options.run_id is not None:
-                store, manifest = self._open_checkpoint(options)
-            result = self._extract_guarded(
-                pages, store=store, manifest=manifest, options=options
+            partitioned = self._partition_stage(result.pagelets)
+            return dataclass_replace(
+                result, partitioned=partitioned, report=self.report()
             )
-            if manifest is not None:
+
+    def refresh(
+        self, pages: Sequence[Page], options: Optional[RunOptions] = None
+    ) -> ThorResult:
+        """Stages 2+3 incrementally against the site's stored model.
+
+        The three drift tiers (DESIGN.md §15): unchanged pages replay
+        their pagelets and partitions straight from the ``models/``
+        artifact; changed/new pages within
+        ``IncrementalConfig.drift_threshold`` are assigned to the
+        stored Phase-1 clusters with one cosine matmul (no refit) and
+        only the clusters they land in re-run Phase 2; drift past the
+        threshold — or a model miss/corruption — falls back to the
+        ordinary full pipeline. Every tier is accounted on the run
+        report (``skipped``/``assigned``/``refit``/``drift_events``/
+        ``model_misses``) and the updated model is re-persisted, so
+        with no drift the result digest is bitwise identical to a full
+        refit. Equivalent to :meth:`extract` + :meth:`partition` with
+        ``RunOptions(incremental=True)``.
+        """
+        options = dataclass_replace(options or RunOptions(), incremental=True)
+        return self._drive(options, pages=pages)
+
+    def run(
+        self, source: DeepWebSource, options: Optional[RunOptions] = None
+    ) -> ThorResult:
+        """Probe, extract, and partition in one call.
+
+        With ``options.run_id`` set (and a persistent artifact store
+        configured), the run checkpoints each completed stage in a run
+        manifest; ``options.resume`` then skips stages the manifest
+        marks complete — after a crash, a resumed run re-probes
+        nothing, restores the Phase-1 fit from the cluster checkpoint
+        instead of re-running the K-Means restarts, and re-derives
+        Phase-2 work from the warm artifact cache, producing a result
+        digest bitwise-identical to an uninterrupted run. Resume hits
+        are accounted on the run report. ``options.incremental``
+        re-extracts against the stored site model (see
+        :meth:`refresh`).
+        """
+        return self._drive(options, source=source)
+
+    # -- the stage driver --------------------------------------------------
+
+    def _drive(
+        self,
+        options: Optional[RunOptions],
+        *,
+        source: Optional[DeepWebSource] = None,
+        pages: Optional[Sequence[Page]] = None,
+        partition: bool = True,
+    ) -> ThorResult:
+        """Probe (when given a source), cluster, identify, partition.
+
+        The one place every stage is called from: checkpoints open
+        here, each stage first looks up its stored answer, and the
+        finished run is recorded in the manifest and (when Stage 3
+        ran) re-published as the site model for the next incremental
+        run.
+        """
+        options = options if options is not None else RunOptions()
+        with activate_fault_plan(self.fault_plan), activate_report(self._report):
+            checkpoint = self._open_checkpoint(options)
+            if source is not None:
+                pages = self._probe_stage(source, options, checkpoint)
+            self._notify_stage(options, "extract")
+            hit = self._lookup_model(pages) if options.incremental else None
+            primed = self._prime_pages(pages)
+            surviving = self._quarantine_scan(pages)
+            self._check_survival(len(surviving), len(pages))
+            clustering = self._cluster_stage(surviving, hit, options, checkpoint)
+            outcomes, replayed = self._identify_stage(clustering, hit)
+            self._persist_signatures(surviving, primed)
+            identifications = tuple(
+                outcome["identification"]
+                for outcome in outcomes
+                if outcome["identification"] is not None
+            )
+            pagelets = tuple(
+                pagelet
+                for identification in identifications
+                for pagelet in identification.pagelets
+            )
+            partitioned: tuple[PartitionedPagelet, ...] = ()
+            if partition:
+                self._notify_stage(options, "partition")
+                partitioned = self._partition_stage(pagelets, replayed)
+            result = ThorResult(
+                pages=tuple(surviving),
+                clustering=clustering,
+                identifications=identifications,
+                pagelets=pagelets,
+                partitioned=partitioned,
+                report=self.report(),
+            )
+            self._last_fit = {
+                "pages": tuple(surviving),
+                "clustering": clustering,
+                "outcomes": outcomes,
+                "hit": hit,
+            }
+            if checkpoint is not None:
                 from repro.io.export import result_digest
 
-                manifest.mark_complete("extract", digest=result_digest(result))
+                store, manifest = checkpoint
+                digest = result_digest(result)
+                manifest.mark_complete("extract", digest=digest)
+                if partition:
+                    manifest.mark_complete("partition", digest=digest)
                 save_manifest(store, manifest)
+            if partition:
+                # Feed the next incremental run: every completed run
+                # (and every refresh) re-publishes the fitted model.
+                self.persist_model(result)
             return result
 
-    def _extract_guarded(
-        self,
-        pages: Sequence[Page],
-        on_identified=None,
-        *,
-        store=None,
-        manifest=None,
-        options: Optional[RunOptions] = None,
-    ) -> ThorResult:
-        primed = self._prime_pages(pages)
-        surviving = self._quarantine_scan(pages)
-        self._check_survival(len(surviving), len(pages))
-        clustering = None
-        if (
-            manifest is not None
-            and options is not None
-            and options.resume
-            and manifest.stage_complete("cluster")
-        ):
-            clustering = load_cluster_checkpoint(store, options.run_id, surviving)
-            if clustering is not None:
-                self._report.resume_hit("cluster")
-            # A corrupt, evicted, or size-mismatched checkpoint is a
-            # miss, not an error: fall through to refitting.
-        if clustering is None:
-            clustering = run_stage(
-                lambda: self._clusterer.fit(surviving),
-                "cluster",
-                resolve_stage_timeout(self.execution, "cluster"),
+    def _open_checkpoint(self, options: RunOptions):
+        """The ``(store, manifest)`` pair of a checkpointed invocation,
+        or ``None`` when ``options`` ask for no checkpointing.
+
+        Raises :class:`~repro.errors.ResumeError` when ``resume=True``
+        names no run to resume, or when checkpointing is requested
+        without a persistent artifact store.
+        """
+        if options.run_id is None and not options.resume:
+            return None
+        if options.run_id is None:
+            raise ResumeError(
+                "resume=True needs a run_id naming the run to resume"
             )
-            if manifest is not None:
-                payload_key = save_cluster_checkpoint(
-                    store, options.run_id, clustering
-                )
-                manifest.mark_complete(
-                    "cluster", pages=len(surviving), payload_key=payload_key
-                )
-                save_manifest(store, manifest)
-        identifications: list[IdentificationResult] = []
-        pagelets: list[QAPagelet] = []
-        outcomes: list[dict] = []
-        top_ids = clustering.top_cluster_ids(
-            self.config.clustering.top_m,
-            min_pages=self.config.clustering.min_cluster_pages,
-        )
-        for cluster_index, cluster_id in enumerate(top_ids):
-            cluster_pages = clustering.cluster_pages(cluster_id)
-            if not cluster_pages:
-                continue
-            try:
-                result = run_stage(
-                    lambda pages=cluster_pages: self._identifier.identify(pages),
-                    "identify",
-                    resolve_stage_timeout(self.execution, "identify"),
-                )
-            except ThorError as exc:
-                # Degrade: this cluster contributes nothing, the rest
-                # of the run proceeds. (StageTimeoutError lands here
-                # too — the watchdog already logged the timeout.)
-                self._report.quarantine(
-                    quarantine_record(
-                        STAGE_IDENTIFY,
-                        f"cluster[{cluster_index}] ({len(cluster_pages)} pages)",
-                        exc,
-                    )
-                )
-                outcomes.append(
-                    {
-                        "cluster": cluster_id,
-                        "members": cluster_pages,
-                        "identification": None,
-                        "quarantined": str(exc),
-                    }
-                )
-                continue
-            identifications.append(result)
-            pagelets.extend(result.pagelets)
-            outcomes.append(
-                {
-                    "cluster": cluster_id,
-                    "members": cluster_pages,
-                    "identification": result,
-                    "quarantined": None,
-                }
+        store = artifact_store_for(self.execution)
+        if store is None:
+            raise ResumeError(
+                "checkpointed runs need a persistent artifact store: "
+                "set ExecutionConfig.cache_dir (or REPRO_CACHE_DIR)"
             )
-            if on_identified is not None:
-                # Streaming: hand the cluster's pagelets downstream
-                # while the next cluster identifies.
-                on_identified(result)
-        self._persist_signatures(surviving, primed)
-        self._last_fit = {
-            "pages": tuple(surviving),
-            "clustering": clustering,
-            "outcomes": outcomes,
-        }
-        return ThorResult(
-            pages=tuple(surviving),
-            clustering=clustering,
-            identifications=tuple(identifications),
-            pagelets=tuple(pagelets),
-            report=self.report(),
+        manifest = open_manifest(
+            store, options.run_id, config_fingerprint(self.config), options.resume
         )
+        return store, manifest
+
+    @staticmethod
+    def _notify_stage(options: RunOptions, stage: str) -> None:
+        """Fire ``options.on_stage`` as a stage starts computing (the
+        fleet ledger's state-machine hook); never fired for stages a
+        resume skipped."""
+        if options.on_stage is not None:
+            options.on_stage(stage)
+
+    def _run_stage(self, stage: str, fn):
+        """``fn()`` under the stage's watchdog deadline, if any."""
+        return run_stage(fn, stage, resolve_stage_timeout(self.execution, stage))
+
+    # -- stage 1 -----------------------------------------------------------
+
+    def _probe(self, source: DeepWebSource) -> ProbeResult:
+        """Stage 1 under the probe watchdog and the active fault plan's
+        source faults."""
+        plan = active_fault_plan()
+        if plan is not None and plan.source is not None:
+            from repro.probe.faults import FaultInjectingSource
+
+            if not isinstance(source, FaultInjectingSource):
+                source = FaultInjectingSource(
+                    source, plan.source, seed=plan.seed
+                )
+        return self._run_stage("probe", lambda: self._prober.probe(source))
+
+    def _probe_stage(
+        self, source: DeepWebSource, options: RunOptions, checkpoint
+    ) -> list[Page]:
+        """Stage 1, unless the resumed run's probe checkpoint has it."""
+        if checkpoint is not None:
+            store, manifest = checkpoint
+            if options.resume and manifest.stage_complete("probe"):
+                pages = load_probe_checkpoint(store, options.run_id)
+                if pages is not None:
+                    self._report.resume_hit("probe")
+                    return pages
+                # A corrupt/evicted checkpoint is a miss, not an error:
+                # fall through to re-probing.
+        self._notify_stage(options, "probe")
+        pages = list(self._probe(source).pages)
+        if checkpoint is not None:
+            payload_key = save_probe_checkpoint(store, options.run_id, pages)
+            manifest.mark_complete(
+                "probe", pages=len(pages), payload_key=payload_key
+            )
+            save_manifest(store, manifest)
+        return pages
+
+    # -- page preparation ----------------------------------------------------
 
     def _quarantine_scan(self, pages: Sequence[Page]) -> list[Page]:
         """Force each page's parse + signature analysis, quarantining
@@ -446,51 +474,42 @@ class Thor:
             "template from what is mostly junk"
         )
 
-    def _tree_loader(self, store):
-        """A page-tree loader bound to ``store`` (``None`` without one)."""
-        if store is None:
-            return None
-        from repro.artifacts.pages import cached_tree
-
-        def load_tree(page: Page):
-            return cached_tree(store, page.html, page.url)
-
-        return load_tree
-
-    def _prime_page(self, page: Page, store, load_tree) -> bool:
-        """Warm one page from the artifact store; True when primed."""
-        from repro.artifacts.pages import cached_signature
-
-        page.set_tree_loader(load_tree)
-        signature = cached_signature(store, page.html)
-        if signature is None:
-            return False
-        try:
-            page.prime_signature(
-                tag_counts={
-                    str(tag): int(count)
-                    for tag, count in signature["tag_counts"].items()
-                },
-                term_counts={
-                    str(term): int(count)
-                    for term, count in signature["term_counts"].items()
-                },
-                max_fanout=int(signature["max_fanout"]),
-            )
-        except (TypeError, ValueError, AttributeError):
-            return False  # malformed bundle: fall back to computing
-        return True
-
     def _prime_pages(self, pages: Sequence[Page]) -> set[int]:
-        """Warm pages from the artifact store; return primed page ids."""
+        """Warm pages from the artifact store; return primed page ids.
+
+        Every page's lazy tree load is redirected to the store's
+        lossless tree codec, and a stored signature bundle is injected
+        so the quarantine scan and Phase 1 skip recomputing it.
+        """
         store = artifact_store_for(self.execution)
         primed: set[int] = set()
         if store is None:
             return primed
-        load_tree = self._tree_loader(store)
+        from repro.artifacts.pages import cached_signature, cached_tree
+
+        def load_tree(page: Page):
+            return cached_tree(store, page.html, page.url)
+
         for page in pages:
-            if self._prime_page(page, store, load_tree):
-                primed.add(id(page))
+            page.set_tree_loader(load_tree)
+            signature = cached_signature(store, page.html)
+            if signature is None:
+                continue
+            try:
+                page.prime_signature(
+                    tag_counts={
+                        str(tag): int(count)
+                        for tag, count in signature["tag_counts"].items()
+                    },
+                    term_counts={
+                        str(term): int(count)
+                        for term, count in signature["term_counts"].items()
+                    },
+                    max_fanout=int(signature["max_fanout"]),
+                )
+            except (TypeError, ValueError, AttributeError):
+                continue  # malformed bundle: fall back to computing
+            primed.add(id(page))
         return primed
 
     def _persist_signatures(self, pages: Sequence[Page], primed: set[int]) -> None:
@@ -528,130 +547,93 @@ class Thor:
             totals[field] = totals.get(field, 0) + value
         return totals
 
-    # -- stage 3 ---------------------------------------------------------
+    # -- stage 2, phase 1 ----------------------------------------------------
 
-    def partition(self, result: ThorResult) -> ThorResult:
-        """Stage 3: partition every extracted pagelet into QA-Objects.
-
-        A pagelet whose partitioning raises a
-        :class:`~repro.errors.ThorError` is quarantined (it keeps its
-        place in ``pagelets`` but contributes no partitioned entry)
-        rather than aborting the stage.
-        """
-        with activate_fault_plan(self.fault_plan), activate_report(self._report):
-            partitioned = [
-                entry
-                for entry in (
-                    self._partition_one(pagelet) for pagelet in result.pagelets
-                )
-                if entry is not None
-            ]
-            return ThorResult(
-                pages=result.pages,
-                clustering=result.clustering,
-                identifications=result.identifications,
-                pagelets=result.pagelets,
-                partitioned=tuple(partitioned),
-                report=self.report(),
-            )
-
-    def _partition_one(self, pagelet: QAPagelet) -> Optional[PartitionedPagelet]:
-        """Partition one pagelet; ``None`` (after quarantining) on a
-        :class:`~repro.errors.ThorError`. Pure per pagelet, so the
-        barriered loop and the streaming overlap call it identically."""
-        try:
-            return run_stage(
-                lambda: self._partitioner.partition(pagelet),
-                "partition",
-                resolve_stage_timeout(self.execution, "partition"),
-            )
-        except ThorError as exc:
-            self._report.quarantine(
-                quarantine_record(STAGE_PARTITION, pagelet.path, exc)
-            )
-            return None
-
-    # -- incremental re-extraction ---------------------------------------
-
-    def refresh(
-        self, pages: Sequence[Page], options: Optional[RunOptions] = None
-    ) -> ThorResult:
-        """Stages 2+3 incrementally against the site's stored model.
-
-        The three drift tiers (DESIGN.md §15): unchanged pages replay
-        their pagelets and partitions straight from the ``models/``
-        artifact; changed/new pages within
-        ``IncrementalConfig.drift_threshold`` are assigned to the
-        stored Phase-1 clusters with one cosine matmul (no refit) and
-        only the clusters they land in re-run Phase 2; drift past the
-        threshold — or a model miss/corruption — falls back to a full
-        refit. Every tier is accounted on the run report
-        (``skipped``/``assigned``/``refit``/``drift_events``/
-        ``model_misses``) and the updated model is re-persisted, so
-        with no drift the result digest is bitwise identical to a full
-        refit.
-        """
-        with activate_fault_plan(self.fault_plan), activate_report(self._report):
-            result = self._refresh_guarded(pages, options=options)
-        self.persist_model(result)
-        return result
-
-    def _refresh_guarded(
+    def _cluster_stage(
         self,
-        pages: Sequence[Page],
-        *,
-        store=None,
-        manifest=None,
-        options: Optional[RunOptions] = None,
-    ) -> ThorResult:
+        surviving: list[Page],
+        hit: Optional[_ModelHit],
+        options: RunOptions,
+        checkpoint,
+    ) -> PageClusteringResult:
+        """Phase 1: assigned from the site model (incremental), restored
+        from the cluster checkpoint (resume), or fitted."""
+        if hit is not None:
+            return self._refresh_assign(surviving, hit)
+        if checkpoint is not None:
+            store, manifest = checkpoint
+            if options.resume and manifest.stage_complete("cluster"):
+                clustering = load_cluster_checkpoint(
+                    store, options.run_id, surviving
+                )
+                if clustering is not None:
+                    self._report.resume_hit("cluster")
+                    return clustering
+                # A corrupt, evicted, or size-mismatched checkpoint is
+                # a miss, not an error: fall through to refitting.
+        clustering = self._run_stage(
+            "cluster", lambda: self._clusterer.fit(surviving)
+        )
+        if checkpoint is not None:
+            payload_key = save_cluster_checkpoint(
+                store, options.run_id, clustering
+            )
+            manifest.mark_complete(
+                "cluster", pages=len(surviving), payload_key=payload_key
+            )
+            save_manifest(store, manifest)
+        return clustering
+
+    def _lookup_model(self, pages: Sequence[Page]) -> Optional[_ModelHit]:
+        """The incremental lookup, made before the pages are primed:
+        the site model, when it may answer Phase 1 for ``pages``.
+
+        ``None`` — after counting a model miss (no store, an
+        unsupported configuration, a torn bundle, or simply a first
+        run) or a drift event (a changed page drifted past
+        ``IncrementalConfig.drift_threshold``) — sends the run down the
+        ordinary path, counted as a refit of every page.
+        """
         cfg = self.config.incremental
-        model = None
+        hit = None
         if cfg.mode != "refit":
-            cache = artifact_store_for(self.execution)
+            store = artifact_store_for(self.execution)
+            model = None
             if (
-                cache is not None
-                and HAVE_NUMPY
+                store is not None
                 and self.config.clustering.configuration
                 in _INCREMENTAL_SIGNATURES
             ):
                 model = load_model(
-                    cache,
+                    store,
                     site_identity([page.url for page in pages]),
                     config_fingerprint(self.config),
                 )
             if model is None:
-                # No store, no numpy, an unsupported configuration, a
-                # torn bundle, or simply a first run: all count as one
-                # model miss and fall back to the full pipeline.
                 self._report.incremental_event("model_misses")
-        if model is None:
-            return self._refresh_refit(
-                pages, store=store, manifest=manifest, options=options
-            )
-        keys = [page_content_key(page.html) for page in pages]
-        stored_labels: dict[str, int] = {}
-        for key, label in zip(model.page_keys, model.labels):
-            stored_labels.setdefault(key, label)
-        changed = [
-            page for page, key in zip(pages, keys) if key not in stored_labels
-        ]
-        changed_fps: dict[int, frozenset] = {}
-        if changed and cfg.mode == "auto":
-            drift = self._max_drift(changed, model, changed_fps)
-            if drift > cfg.drift_threshold:
-                self._report.incremental_event("drift_events")
-                return self._refresh_refit(
-                    pages, store=store, manifest=manifest, options=options
+            else:
+                labels: dict[str, int] = {}
+                for key, label in zip(model.page_keys, model.labels):
+                    labels.setdefault(key, label)
+                hit = _ModelHit(
+                    model,
+                    labels,
+                    {id(page): page_content_key(page.html) for page in pages},
                 )
-        return self._refresh_assign(
-            pages, keys, stored_labels, model, changed_fps
-        )
+        if hit is not None and cfg.mode == "auto":
+            changed = [p for p in pages if hit.keys[id(p)] not in hit.labels]
+            if changed and (
+                self._max_drift(changed, hit.model, hit.fingerprints)
+                > cfg.drift_threshold
+            ):
+                self._report.incremental_event("drift_events")
+                hit = None
+        if hit is None:
+            self._report.incremental_event("refit", len(pages))
+        return hit
 
     def _max_drift(
-        self,
-        pages: Sequence[Page],
-        model: SiteModel,
-        fingerprints: Optional[dict] = None,
+        self, pages: Sequence[Page], model: SiteModel, fingerprints: dict
     ) -> float:
         """Worst per-page fingerprint drift vs the stored clusters.
 
@@ -666,61 +648,27 @@ class Thor:
                 fingerprint = page_fingerprint(page.tree)
             except ThorError:
                 continue
-            if fingerprints is not None:
-                fingerprints[id(page)] = fingerprint
+            fingerprints[id(page)] = fingerprint
             drift = max(
                 drift, fingerprint_drift(fingerprint, model.fingerprints)
             )
         return drift
 
-    def _refresh_refit(
-        self,
-        pages: Sequence[Page],
-        *,
-        store=None,
-        manifest=None,
-        options: Optional[RunOptions] = None,
-    ) -> ThorResult:
-        """Tier (c): the full pipeline, counted as refit pages.
-
-        Running the *complete* page list through the normal extract +
-        partition path (rather than patching the stale model) is what
-        makes the fallback digest match a cold run by construction.
-        """
-        self._report.incremental_event("refit", len(pages))
-        if options is not None and options.streaming:
-            return self._extract_partition_streaming(
-                pages, store=store, manifest=manifest, options=options
-            )
-        result = self._extract_guarded(
-            pages, store=store, manifest=manifest, options=options
-        )
-        return self.partition(result)
-
     def _refresh_assign(
-        self,
-        pages: Sequence[Page],
-        keys: Sequence[str],
-        stored_labels: dict[str, int],
-        model: SiteModel,
-        changed_fps: Optional[dict] = None,
-    ) -> ThorResult:
-        """Tiers (a)+(b): replay unchanged clusters, assign the delta."""
-        primed = self._prime_pages(pages)
-        key_of = {id(page): key for page, key in zip(pages, keys)}
-        surviving = self._quarantine_scan(pages)
-        self._check_survival(len(surviving), len(pages))
-        unchanged = [p for p in surviving if key_of[id(p)] in stored_labels]
-        fresh = [p for p in surviving if key_of[id(p)] not in stored_labels]
-        labels_by_id = {
-            id(page): stored_labels[key_of[id(page)]] for page in unchanged
-        }
+        self, pages: Sequence[Page], hit: _ModelHit
+    ) -> PageClusteringResult:
+        """Phase 1 from the site model: unchanged pages keep their
+        stored label and changed pages are assigned to the stored
+        centroids with one cosine matmul (no refit)."""
+        model = hit.model
+        labels = {id(page): hit.labels.get(hit.keys[id(page)]) for page in pages}
+        fresh = [page for page in pages if labels[id(page)] is None]
         if fresh:
+            from repro.vsm.matrix import encode_tfidf
+
             signature = _INCREMENTAL_SIGNATURES[
                 self.config.clustering.configuration
             ]
-            from repro.vsm.matrix import encode_tfidf
-
             vocabulary = {
                 feature: column
                 for column, feature in enumerate(model.vocabulary)
@@ -729,83 +677,70 @@ class Thor:
                 [signature(page) for page in fresh], vocabulary, model.idf
             )
             for page, label in zip(fresh, assign_to_centroids(rows, model.centroids)):
-                labels_by_id[id(page)] = label
-        self._report.incremental_event("skipped", len(unchanged))
+                labels[id(page)] = label
+        self._report.incremental_event("skipped", len(pages) - len(fresh))
         self._report.incremental_event("assigned", len(fresh))
+        hit.assigned = frozenset(id(page) for page in fresh)
         clustering = Clustering.from_labels(
-            (labels_by_id[id(page)] for page in surviving), model.k
+            (labels[id(page)] for page in pages), model.k
         )
         scores = score_clusters(
-            surviving, clustering, self.config.clustering.ranking_weights
+            pages, clustering, self.config.clustering.ranking_weights
         )
-        clustering_result = PageClusteringResult(
-            tuple(surviving), clustering, tuple(scores)
-        )
-        records_by_cluster = {
-            record.cluster: record for record in model.clusters
-        }
-        identifications: list[IdentificationResult] = []
-        pagelets: list[QAPagelet] = []
-        partitioned: list[PartitionedPagelet] = []
+        return PageClusteringResult(tuple(pages), clustering, tuple(scores))
+
+    # -- stage 2, phase 2 ----------------------------------------------------
+
+    def _identify_stage(
+        self, clustering: PageClusteringResult, hit: Optional[_ModelHit]
+    ) -> tuple[list[dict], dict]:
+        """Phase 2 over the top-m clusters, one outcome per cluster.
+
+        A cluster whose membership is byte-identical to a stored
+        cluster of the site model replays that cluster's Phase-2/3
+        outcome; every other cluster (new/changed members, ranking
+        churn, stale paths) runs Phase 2 live. Returns the outcomes
+        and the replayed pagelets' stored partitions, by pagelet id.
+        """
+        records = {}
+        if hit is not None:
+            records = {record.cluster: record for record in hit.model.clusters}
         outcomes: list[dict] = []
-        top_ids = clustering_result.top_cluster_ids(
+        replayed: dict = {}
+        top_ids = clustering.top_cluster_ids(
             self.config.clustering.top_m,
             min_pages=self.config.clustering.min_cluster_pages,
         )
         for cluster_index, cluster_id in enumerate(top_ids):
-            members = clustering_result.cluster_pages(cluster_id)
+            members = clustering.cluster_pages(cluster_id)
             if not members:
                 continue
-            member_keys = tuple(key_of[id(page)] for page in members)
-            record = records_by_cluster.get(cluster_id)
-            replayed = None
-            if record is not None and record.page_keys == member_keys:
-                # The cluster's membership is byte-identical to fit
-                # time: its Phase-2/3 outcome replays from the model.
-                replayed = self._replay_cluster(record, members)
-            if replayed is not None:
-                identification, parts, reason = replayed
-                if reason is not None:
-                    # The cluster was quarantined at fit time; identical
-                    # inputs would fail identically, so re-quarantine
-                    # without re-running the failing analysis.
-                    self._report.quarantine(
-                        quarantine_record(
-                            STAGE_IDENTIFY,
-                            f"cluster[{cluster_index}] ({len(members)} pages)",
-                            ExtractionError(reason),
-                        )
-                    )
-                    outcomes.append(
-                        {
-                            "cluster": cluster_id,
-                            "members": members,
-                            "identification": None,
-                            "quarantined": reason,
-                        }
-                    )
-                    continue
-                identifications.append(identification)
-                pagelets.extend(identification.pagelets)
-                partitioned.extend(parts)
-                outcomes.append(
-                    {
-                        "cluster": cluster_id,
-                        "members": members,
-                        "identification": identification,
-                        "quarantined": None,
-                    }
-                )
-                continue
-            # Live Phase 2 + 3 for clusters the model cannot replay
-            # (new/changed members, ranking churn, stale paths).
+            outcome = {
+                "cluster": cluster_id,
+                "members": members,
+                "identification": None,
+                "quarantined": None,
+            }
+            outcomes.append(outcome)
+            record = records.get(cluster_id)
             try:
-                identification = run_stage(
-                    lambda pages=members: self._identifier.identify(pages),
-                    "identify",
-                    resolve_stage_timeout(self.execution, "identify"),
-                )
+                replay = None
+                if record is not None and record.page_keys == tuple(
+                    hit.keys[id(page)] for page in members
+                ):
+                    replay = self._replay_cluster(record, members)
+                if replay is None:
+                    outcome["identification"] = self._run_stage(
+                        "identify",
+                        lambda pages=members: self._identifier.identify(pages),
+                    )
+                else:
+                    outcome["identification"], parts = replay
+                    replayed.update(parts)
             except ThorError as exc:
+                # Degrade: this cluster contributes nothing, the rest
+                # of the run proceeds. (StageTimeoutError lands here
+                # too — the watchdog already logged the timeout.)
                 self._report.quarantine(
                     quarantine_record(
                         STAGE_IDENTIFY,
@@ -813,61 +748,24 @@ class Thor:
                         exc,
                     )
                 )
-                outcomes.append(
-                    {
-                        "cluster": cluster_id,
-                        "members": members,
-                        "identification": None,
-                        "quarantined": str(exc),
-                    }
-                )
-                continue
-            identifications.append(identification)
-            pagelets.extend(identification.pagelets)
-            outcomes.append(
-                {
-                    "cluster": cluster_id,
-                    "members": members,
-                    "identification": identification,
-                    "quarantined": None,
-                }
-            )
-            for pagelet in identification.pagelets:
-                entry = self._partition_one(pagelet)
-                if entry is not None:
-                    partitioned.append(entry)
-        self._persist_signatures(surviving, primed)
-        self._last_fit = {
-            "pages": tuple(surviving),
-            "clustering": clustering_result,
-            "outcomes": outcomes,
-            # Assign-tier republish reuses the stored geometry: the
-            # vocabulary/idf/centroids the assignment ran against stay
-            # the model of record until a refit replaces them.
-            "basis": model,
-            "fresh_ids": frozenset(id(page) for page in fresh),
-            "fresh_fps": dict(changed_fps or {}),
-        }
-        return ThorResult(
-            pages=tuple(surviving),
-            clustering=clustering_result,
-            identifications=tuple(identifications),
-            pagelets=tuple(pagelets),
-            partitioned=tuple(partitioned),
-            report=self.report(),
-        )
+                outcome["quarantined"] = str(exc)
+        return outcomes, replayed
 
     def _replay_cluster(self, record: ClusterRecord, members: Sequence[Page]):
         """Rebuild one stored cluster's Phase-2/3 outcome, or ``None``.
 
-        Returns ``(identification, partitioned, quarantine_reason)``;
-        a record whose stored paths no longer resolve (a stale bundle)
-        returns ``None`` and the caller re-runs Phase 2 live.
+        Returns the identification and each replayed pagelet's stored
+        partition (``None`` when it was never partitioned), keyed by
+        pagelet id. A cluster quarantined at fit time raises its stored
+        reason as :class:`~repro.errors.ExtractionError` — identical
+        inputs would fail identically, so the failing analysis is not
+        re-run. A record whose stored paths no longer resolve (a stale
+        bundle) returns ``None`` and the caller re-runs Phase 2 live.
         """
         if record.quarantined is not None:
-            return None, (), record.quarantined
-        replayed: list[QAPagelet] = []
-        parts: list[PartitionedPagelet] = []
+            raise ExtractionError(record.quarantined)
+        pagelets: list[QAPagelet] = []
+        parts: dict = {}
         try:
             for entry in record.pagelets:
                 page = members[entry.page_index]
@@ -880,34 +778,64 @@ class Thor:
                     contained_dynamic_paths=entry.dynamic_paths,
                     contained_static_paths=entry.static_paths,
                 )
-                replayed.append(pagelet)
+                pagelets.append(pagelet)
+                parts[id(pagelet)] = None
                 if entry.partition is not None:
                     separator, object_paths = entry.partition
-                    parts.append(
-                        PartitionedPagelet(
-                            pagelet=pagelet,
-                            objects=tuple(
-                                QAObject(
-                                    path=path,
-                                    node=resolve_path(page.tree, path),
-                                )
-                                for path in object_paths
-                            ),
-                            separator_parent=separator,
-                        )
+                    parts[id(pagelet)] = PartitionedPagelet(
+                        pagelet=pagelet,
+                        objects=tuple(
+                            QAObject(
+                                path=path, node=resolve_path(page.tree, path)
+                            )
+                            for path in object_paths
+                        ),
+                        separator_parent=separator,
                     )
         except (PathResolutionError, PathSyntaxError, IndexError, ThorError):
             return None
         identification = IdentificationResult(
-            tuple(members), tuple(replayed), (), ()
+            tuple(members), tuple(pagelets), (), ()
         )
-        return identification, tuple(parts), None
+        return identification, parts
+
+    # -- stage 3 -----------------------------------------------------------
+
+    def _partition_stage(
+        self, pagelets: Sequence[QAPagelet], replayed: Optional[dict] = None
+    ) -> tuple[PartitionedPagelet, ...]:
+        """Stage 3 over ``pagelets`` in order; a pagelet replayed from
+        the site model takes its stored partition instead."""
+        partitioned = []
+        for pagelet in pagelets:
+            if replayed and id(pagelet) in replayed:
+                entry = replayed[id(pagelet)]
+            else:
+                entry = self._partition_one(pagelet)
+            if entry is not None:
+                partitioned.append(entry)
+        return tuple(partitioned)
+
+    def _partition_one(self, pagelet: QAPagelet) -> Optional[PartitionedPagelet]:
+        """Partition one pagelet; ``None`` (after quarantining) on a
+        :class:`~repro.errors.ThorError`."""
+        try:
+            return self._run_stage(
+                "partition", lambda: self._partitioner.partition(pagelet)
+            )
+        except ThorError as exc:
+            self._report.quarantine(
+                quarantine_record(STAGE_PARTITION, pagelet.path, exc)
+            )
+            return None
+
+    # -- the site model ------------------------------------------------------
 
     def persist_model(self, result: ThorResult) -> bool:
         """Bundle the latest fit into the ``models/`` slot; True if saved.
 
-        Requires a configured artifact store, the numpy backend, and a
-        clustering configuration the assign kernel can reconstruct
+        Requires a configured artifact store and a clustering
+        configuration the assign kernel can reconstruct
         (``_INCREMENTAL_SIGNATURES``); silently skips otherwise. Model
         persistence is strictly additive — a failure to save can never
         fail the run that produced ``result``.
@@ -917,7 +845,6 @@ class Thor:
         if (
             store is None
             or fit is None
-            or not HAVE_NUMPY
             or self.config.clustering.configuration not in _INCREMENTAL_SIGNATURES
         ):
             return False
@@ -934,22 +861,21 @@ class Thor:
         clustering_result: PageClusteringResult = fit["clustering"]
         k = clustering_result.clustering.k
         labels = clustering_result.clustering.labels
-        basis: Optional[SiteModel] = fit.get("basis")
-        if basis is not None:
+        hit: Optional[_ModelHit] = fit["hit"]
+        if hit is not None:
             # Assign-tier refresh: the stored geometry is still the
             # fit of record — carry it forward verbatim and extend the
             # per-cluster fingerprint unions with just the fresh pages
             # (unchanged pages contributed theirs at fit time, so the
             # unions are additive until the next refit rebuilds them).
-            vocabulary = basis.vocabulary
-            idf = basis.idf
-            centroids = basis.centroids
-            unions = [set(union) for union in basis.fingerprints]
-            fresh_fps: dict = fit.get("fresh_fps", {})
+            vocabulary = hit.model.vocabulary
+            idf = hit.model.idf
+            centroids = hit.model.centroids
+            unions = [set(union) for union in hit.model.fingerprints]
             for page, label in zip(pages, labels):
-                if id(page) not in fit["fresh_ids"]:
+                if id(page) not in hit.assigned:
                     continue
-                fingerprint = fresh_fps.get(id(page))
+                fingerprint = hit.fingerprints.get(id(page))
                 if fingerprint is None:
                     fingerprint = page_fingerprint(page.tree)
                 unions[label] |= fingerprint
@@ -1028,179 +954,3 @@ class Thor:
             fingerprints=tuple(frozenset(union) for union in unions),
             clusters=tuple(cluster_records),
         )
-
-    def _extract_partition_streaming(
-        self,
-        pages: Sequence[Page],
-        *,
-        store=None,
-        manifest=None,
-        options: Optional[RunOptions] = None,
-    ) -> ThorResult:
-        """Stages 2+3 overlapped: partition cluster ``i``'s pagelets
-        while cluster ``i+1`` identifies.
-
-        A one-worker thread pool keeps partitioning strictly in pagelet
-        order; futures are collected in submission order, so the
-        ``partitioned`` tuple — and therefore the result digest — is
-        bitwise identical to the barriered
-        ``extract()`` → ``partition()`` sequence. Quarantine records
-        from the two stages may *interleave* differently on the run
-        report (the report is accounting, excluded from digests and
-        result equality), but their contents match the barriered run's.
-        """
-        from concurrent.futures import Future, ThreadPoolExecutor
-
-        futures: list[Future] = []
-        with ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="thor-streaming-partition"
-        ) as pool:
-            def on_identified(result: IdentificationResult) -> None:
-                for pagelet in result.pagelets:
-                    futures.append(pool.submit(self._partition_one, pagelet))
-
-            extracted = self._extract_guarded(
-                pages,
-                on_identified=on_identified,
-                store=store,
-                manifest=manifest,
-                options=options,
-            )
-            partitioned = [
-                entry
-                for entry in (future.result() for future in futures)
-                if entry is not None
-            ]
-        return ThorResult(
-            pages=extracted.pages,
-            clustering=extracted.clustering,
-            identifications=extracted.identifications,
-            pagelets=extracted.pagelets,
-            partitioned=tuple(partitioned),
-            report=self.report(),
-        )
-
-    # -- all together ------------------------------------------------------
-
-    def _open_checkpoint(self, options: RunOptions):
-        """The (store, manifest) pair for a checkpointed invocation.
-
-        Raises :class:`~repro.errors.ResumeError` when checkpointing is
-        requested without a persistent artifact store, or when
-        ``resume=True`` names no run to resume.
-        """
-        if options.run_id is None:
-            raise ResumeError(
-                "resume=True needs a run_id naming the run to resume"
-            )
-        store = artifact_store_for(self.execution)
-        if store is None:
-            raise ResumeError(
-                "checkpointed runs need a persistent artifact store: "
-                "set ExecutionConfig.cache_dir (or REPRO_CACHE_DIR)"
-            )
-        manifest = open_manifest(
-            store, options.run_id, config_fingerprint(self.config), options.resume
-        )
-        return store, manifest
-
-    @staticmethod
-    def _notify_stage(options: Optional[RunOptions], stage: str) -> None:
-        """Fire ``options.on_stage`` as a stage starts computing (the
-        fleet ledger's state-machine hook); never fired for stages a
-        resume skipped."""
-        if options is not None and options.on_stage is not None:
-            options.on_stage(stage)
-
-    def run(
-        self,
-        source: DeepWebSource,
-        run_id: Optional[str] = None,
-        resume: bool = False,
-        streaming: bool = False,
-        options: Optional[RunOptions] = None,
-    ) -> ThorResult:
-        """Probe, extract, and partition in one call.
-
-        Invocation behavior rides on a
-        :class:`~repro.config.RunOptions` (``options``); the individual
-        keyword arguments remain as a convenience and are consulted
-        only when ``options`` is not given.
-
-        With ``run_id`` set (and a persistent artifact store
-        configured), the run checkpoints each completed stage in a run
-        manifest; ``resume=True`` then skips stages the manifest marks
-        complete — after a crash, a resumed run re-probes nothing,
-        restores the Phase-1 fit from the cluster checkpoint instead of
-        re-running the K-Means restarts, and re-derives Phase-2 work
-        from the warm artifact cache, producing a result digest
-        bitwise-identical to an uninterrupted run. Resume hits are
-        accounted on the run report.
-
-        ``streaming=True`` runs the same pipeline single-pass: pages
-        prewarm Phase-2 state as the probe returns them
-        (:meth:`_streamed_probe`) and partitioning overlaps
-        identification (:meth:`_extract_partition_streaming`) instead
-        of barriering between stages. Streaming changes scheduling
-        only — result digests are bitwise identical to a barriered
-        run, and quarantine/recovery semantics are unchanged.
-        """
-        if options is None:
-            options = RunOptions(
-                run_id=run_id, resume=resume, streaming=streaming
-            )
-        with activate_fault_plan(self.fault_plan), activate_report(self._report):
-            store = manifest = None
-            if options.run_id is not None or options.resume:
-                store, manifest = self._open_checkpoint(options)
-            pages: Optional[list[Page]] = None
-            if (
-                manifest is not None
-                and options.resume
-                and manifest.stage_complete("probe")
-            ):
-                pages = load_probe_checkpoint(store, options.run_id)
-                if pages is not None:
-                    self._report.resume_hit("probe")
-                # A corrupt/evicted checkpoint is a miss, not an error:
-                # fall through to re-probing.
-            if pages is None:
-                self._notify_stage(options, "probe")
-                if options.streaming:
-                    probe_result = self._streamed_probe(source)
-                else:
-                    probe_result = self._probe_guarded(source)
-                pages = list(probe_result.pages)
-                if manifest is not None:
-                    payload_key = save_probe_checkpoint(
-                        store, options.run_id, pages
-                    )
-                    manifest.mark_complete(
-                        "probe", pages=len(pages), payload_key=payload_key
-                    )
-                    save_manifest(store, manifest)
-            self._notify_stage(options, "extract")
-            if options.incremental:
-                result = self._refresh_guarded(
-                    pages, store=store, manifest=manifest, options=options
-                )
-            elif options.streaming:
-                result = self._extract_partition_streaming(
-                    pages, store=store, manifest=manifest, options=options
-                )
-            else:
-                result = self._extract_guarded(
-                    pages, store=store, manifest=manifest, options=options
-                )
-                self._notify_stage(options, "partition")
-                result = self.partition(result)
-            if manifest is not None:
-                from repro.io.export import result_digest
-
-                manifest.mark_complete("extract", digest=result_digest(result))
-                manifest.mark_complete("partition", digest=result_digest(result))
-                save_manifest(store, manifest)
-            # Feed the next incremental run: every completed full run
-            # (and every refresh) re-publishes the fitted model.
-            self.persist_model(result)
-            return result

@@ -58,11 +58,9 @@ class EvaluationError(ThorError):
 
 
 class ConfigError(ThorError):
-    """Raised for configuration that is no longer (or never was)
-    meaningful — e.g. the removed per-stage ``ClusteringConfig.backend``
-    / ``SubtreeConfig.backend`` fields, or a fleet job submitted without
-    a persistent artifact store. The message always names the
-    replacement knob."""
+    """Raised for configuration that is not meaningful — e.g. a fleet
+    job submitted without a persistent artifact store. The message
+    always names the knob that fixes it."""
 
 
 class ResilienceError(ThorError):
@@ -91,7 +89,7 @@ class ChunkFailedError(ResilienceError):
 
 class StageTimeoutError(ResilienceError):
     """A pipeline stage exceeded its wall-clock deadline
-    (``ExecutionConfig.stage_timeout_s``) and was cancelled by the stage
+    (``ExecutionConfig.stage_timeouts``) and was cancelled by the stage
     watchdog."""
 
     def __init__(self, message: str, stage: str = "", timeout_s: float = 0.0):

@@ -161,13 +161,13 @@ def default_fleet_id(spec: FleetSpec) -> str:
 
 def _fleet_site_worker(payload, sites: Sequence[SiteSpec]) -> list:
     """Run each site of one chunk through the full pipeline."""
-    config, fleet_id, fault_plan, streaming = payload
+    config, fleet_id, fault_plan = payload
     store = artifact_store_for(config.execution)
     ledger = FleetLedger(store, fleet_id)
     outcomes = []
     for site in sites:
         outcomes.append(
-            _run_one_site(config, ledger, site, fault_plan, streaming)
+            _run_one_site(config, ledger, site, fault_plan)
         )
     return outcomes
 
@@ -177,7 +177,6 @@ def _run_one_site(
     ledger: FleetLedger,
     site: SiteSpec,
     fault_plan: Optional[FaultPlan],
-    streaming: bool,
 ) -> SiteOutcome:
     """One site, end to end, with ledger transitions at stage starts.
 
@@ -196,9 +195,7 @@ def _run_one_site(
         elif stage == "extract":
             ledger.set_state(site.site_id, STATE_EXTRACTING)
 
-    options = RunOptions(
-        run_id=run_id, resume=True, streaming=streaming, on_stage=on_stage
-    )
+    options = RunOptions(run_id=run_id, resume=True, on_stage=on_stage)
     thor = Thor(config, fault_plan=fault_plan)
     try:
         try:
@@ -254,7 +251,7 @@ def run_fleet(
     fingerprint, so resubmitting the same spec resumes the same
     ledger); ``options.resume`` skips sites the ledger already marks
     ``done``, reusing their recorded digests; ``options.fault_plan``
-    and ``options.streaming`` pass through to every site run.
+    passes through to every site run.
 
     Requires a persistent artifact store
     (``ExecutionConfig.cache_dir`` or ``REPRO_CACHE_DIR``) — a fleet
@@ -262,7 +259,7 @@ def run_fleet(
     """
     config = config if config is not None else DEFAULT_CONFIG
     options = options if options is not None else RunOptions()
-    execution = config.resolved_execution()
+    execution = config.execution
     store = artifact_store_for(execution)
     if store is None:
         raise ConfigError(
@@ -283,7 +280,7 @@ def run_fleet(
         config = replace(config, execution=replace(execution, n_jobs=1))
 
     waves = spec.waves()
-    payload = (config, fleet_id, options.fault_plan, options.streaming)
+    payload = (config, fleet_id, options.fault_plan)
     budget = config.fleet.max_sites_per_run
     attempted = 0
     outcomes: list[SiteOutcome] = []

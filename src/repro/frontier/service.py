@@ -309,7 +309,7 @@ class CrawlService:
             self.seeds, crawl_config, self.config.seed
         )
         self.crawl_id = self.options.run_id or f"crawl-{self.fingerprint[:12]}"
-        self.store = artifact_store_for(self.config.resolved_execution())
+        self.store = artifact_store_for(self.config.execution)
         if self.options.resume and self.store is None:
             raise ConfigError(
                 "crawl resume needs a persistent artifact store: set "
@@ -359,7 +359,7 @@ class CrawlService:
         results = probe_sites(
             jobs,
             config=probe_config,
-            execution=self.config.resolved_execution(),
+            execution=self.config.execution,
         )
         for lane, budget in harvest:
             lane.harvest(budget)

@@ -12,7 +12,7 @@ Four pillars (DESIGN.md §11), one package:
   seeded backoff, then degraded to in-process serial execution,
   preserving the bitwise parallel == serial invariant;
 - **stage watchdogs** (:mod:`repro.resilience.watchdog`) — wall-clock
-  deadlines per stage (``ExecutionConfig.stage_timeout_s``) raising a
+  deadlines per stage (``ExecutionConfig.stage_timeouts``) raising a
   typed :class:`~repro.errors.StageTimeoutError`;
 - **checkpointed resumable runs** (:mod:`repro.resilience.manifest`) —
   a run manifest in the artifact store records completed stages so

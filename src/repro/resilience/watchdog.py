@@ -3,7 +3,7 @@
 A hung stage — a pathological page that sends the parser quadratic, a
 wedged worker pool — is worse than a failed one: nothing downstream
 ever runs. :func:`run_stage` bounds a stage with a wall-clock deadline
-(``ExecutionConfig.stage_timeout_s``): the stage body runs on a
+(``ExecutionConfig.stage_timeouts``): the stage body runs on a
 watchdog thread, and if the deadline passes the stage is *cancelled* —
 the caller gets a typed :class:`~repro.errors.StageTimeoutError`
 immediately and can degrade (e.g. quarantine the cluster that hung)

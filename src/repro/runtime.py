@@ -327,86 +327,6 @@ def select_best(results: Sequence, better: Callable[[Any, Any], bool]):
 
 
 # ---------------------------------------------------------------------------
-# Streaming probe → extract conduit
-# ---------------------------------------------------------------------------
-
-
-class PageStream:
-    """A thread-safe conduit of probe result pages.
-
-    The streaming pipeline (``Thor.run(..., streaming=True)``) probes
-    on a helper thread and pushes each page here the moment the source
-    returns it; the main thread iterates and starts Phase-2 priming
-    work immediately instead of barriering on the full probe. The
-    stream is append-only and closed exactly once by the producer
-    (``close`` is idempotent); iteration drains in arrival order and
-    ends when the stream is closed and empty.
-    """
-
-    _DONE = object()
-
-    def __init__(self) -> None:
-        import queue
-
-        self._queue: "queue.Queue[Any]" = queue.Queue()
-        self._closed = False
-
-    def put(self, page: Any) -> None:
-        if self._closed:
-            raise RuntimeError("PageStream is closed")
-        self._queue.put(page)
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._queue.put(self._DONE)
-
-    def __iter__(self):
-        while True:
-            item = self._queue.get()
-            if item is self._DONE:
-                return
-            yield item
-
-
-class StreamingSourceTap:
-    """Wrap a deep-web source so returned pages also feed a stream.
-
-    Sits *outside* any fault-injecting wrapper, so only pages the
-    prober actually receives are streamed — an injected failure or a
-    dropped attempt never leaks a phantom page into the pipeline. The
-    sync ``query`` taps directly; an async ``aquery`` tap is installed
-    as an instance attribute only when the inner source has a
-    coroutine ``aquery`` (so ``iscoroutinefunction`` probing by the
-    probe executor sees exactly what the inner source offers).
-    Everything else (``label``, ``theme``, …) delegates.
-    """
-
-    def __init__(self, source: Any, stream: PageStream) -> None:
-        import asyncio
-
-        self._source = source
-        self._stream = stream
-        inner_aquery = getattr(source, "aquery", None)
-        if asyncio.iscoroutinefunction(inner_aquery):
-
-            async def aquery(term: str):
-                page = await inner_aquery(term)
-                self._stream.put(page)
-                return page
-
-            self.aquery = aquery
-
-    def query(self, term: str):
-        page = self._source.query(term)
-        self._stream.put(page)
-        return page
-
-    def __getattr__(self, name: str):
-        return getattr(self._source, name)
-
-
-# ---------------------------------------------------------------------------
 # Artifact-store registry
 # ---------------------------------------------------------------------------
 
@@ -579,9 +499,7 @@ __all__ = [
     "BACKENDS",
     "BackendSelection",
     "ExecutionConfig",
-    "PageStream",
     "SeedMaterial",
-    "StreamingSourceTap",
     "artifact_store_for",
     "cached_weighted_space",
     "clear_artifact_store_registry",

@@ -115,6 +115,9 @@ def garbage() -> FaultStep:
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "HostileHTTP/1.0"
+    # Headers and body go out as two writes; with Nagle on, every
+    # keep-alive response would wait for the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     def log_message(self, *args) -> None:  # noqa: D102 - silence stderr
         pass

@@ -22,7 +22,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from repro.config import ExecutionConfig, ThorConfig
+from repro.config import ExecutionConfig, ProbeConfig, RunOptions, ThorConfig
 from repro.core.page import Page
 from repro.core.thor import Thor
 from repro.deepweb import generate_corpus, make_site
@@ -175,9 +175,9 @@ class TestResumableRuns:
             seed=4, execution=ExecutionConfig(cache_dir=str(tmp_path))
         )
         site = lambda: make_site("travel", seed=4, records=60)  # noqa: E731
-        first = Thor(config).run(site(), run_id="r1")
+        first = Thor(config).run(site(), RunOptions(run_id="r1"))
         resumed_thor = Thor(config)
-        second = resumed_thor.run(site(), run_id="r1", resume=True)
+        second = resumed_thor.run(site(), RunOptions(run_id="r1", resume=True))
         assert result_digest(first) == result_digest(second)
         # The resumed run restores both checkpoints: the probe sample
         # and the Phase-1 cluster fit.
@@ -186,12 +186,13 @@ class TestResumableRuns:
     def test_resume_under_different_config_refuses(self, tmp_path):
         execution = ExecutionConfig(cache_dir=str(tmp_path))
         site = make_site("travel", seed=4, records=60)
-        Thor(ThorConfig(seed=4, execution=execution)).run(site, run_id="r1")
+        Thor(ThorConfig(seed=4, execution=execution)).run(
+            site, RunOptions(run_id="r1")
+        )
         with pytest.raises(ResumeError, match="configuration"):
             Thor(ThorConfig(seed=5, execution=execution)).run(
                 make_site("travel", seed=5, records=60),
-                run_id="r1",
-                resume=True,
+                RunOptions(run_id="r1", resume=True),
             )
 
     def test_run_id_without_store_refuses(self):
@@ -200,7 +201,7 @@ class TestResumableRuns:
         )
         with pytest.raises(ResumeError, match="cache"):
             Thor(config).run(
-                make_site("travel", seed=4, records=60), run_id="r1"
+                make_site("travel", seed=4, records=60), RunOptions(run_id="r1")
             )
 
     def test_resume_with_no_prior_checkpoint_just_runs(self, tmp_path):
@@ -209,10 +210,35 @@ class TestResumableRuns:
         )
         thor = Thor(config)
         result = thor.run(
-            make_site("travel", seed=4, records=60), run_id="new", resume=True
+            make_site("travel", seed=4, records=60),
+            RunOptions(run_id="new", resume=True),
         )
         assert result.pagelets
         assert thor.report().resume_hits == ()
+
+    @pytest.mark.parametrize("entry", ["run", "extract", "refresh"])
+    @pytest.mark.parametrize(
+        "options, artifact_cache",
+        [
+            (RunOptions(resume=True), "on"),
+            (RunOptions(run_id="r1"), "off"),
+        ],
+        ids=["resume-without-run-id", "run-id-without-store"],
+    )
+    def test_every_entry_point_applies_one_checkpoint_rule(
+        self, tmp_path, entry, options, artifact_cache
+    ):
+        config = ThorConfig(
+            probing=ProbeConfig(dictionary_queries=12, nonsense_queries=2),
+            seed=4,
+            execution=ExecutionConfig(
+                cache_dir=str(tmp_path), artifact_cache=artifact_cache
+            ),
+        )
+        site = make_site("travel", seed=4, records=60)
+        subject = site if entry == "run" else Thor(config).probe(site).pages
+        with pytest.raises(ResumeError):
+            getattr(Thor(config), entry)(subject, options=options)
 
 
 class TestCliChaosSmoke:

@@ -52,12 +52,23 @@ class TestParser:
         args = build_parser().parse_args(["demo", "--backend", "python"])
         config = _thor_config(args)
         assert config.execution.backend == "python"
-        # The deprecated per-stage fields stay untouched.
-        assert config.clustering.backend is None
-        assert config.subtrees.backend is None
         default = _thor_config(build_parser().parse_args(["demo"]))
         assert default.execution.backend is None
         assert default.execution.n_jobs == 1
+
+    def test_stage_timeout_sets_every_stage_or_one(self):
+        from repro.cli import _thor_config
+        from repro.config import StageTimeouts
+
+        args = build_parser().parse_args(
+            ["demo", "--stage-timeout", "30", "--stage-timeout", "probe=120"]
+        )
+        assert _thor_config(args).execution.stage_timeouts == StageTimeouts(
+            probe=120.0, cluster=30.0, identify=30.0, partition=30.0
+        )
+        for bad in ("upload=5", "probe=0", "soon"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["demo", "--stage-timeout", bad])
 
     def test_jobs_flag(self):
         args = build_parser().parse_args(["demo", "--jobs", "2"])

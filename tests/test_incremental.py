@@ -165,6 +165,24 @@ class TestIncrementalInvariants:
         assert counters.get("refit", 0) == 0
         assert counters.get("skipped", 0) == len(result.pages) - 2
 
+    def test_resumed_incremental_run_matches_uninterrupted_and_cold(self):
+        domain = "jobs"
+        cache_dir, _ = _seeded(domain, "resumed")
+        cold = _cold_drifted_digest(domain, mutate_page_text)
+        uninterrupted = Thor(_config(cache_dir)).run(
+            _drift_source(domain, mutate_page_text),
+            options=RunOptions(run_id="nightly", incremental=True),
+        )
+        thor = Thor(_config(cache_dir))
+        resumed = thor.run(
+            _drift_source(domain, mutate_page_text),
+            options=RunOptions(run_id="nightly", resume=True, incremental=True),
+        )
+        assert result_digest(uninterrupted) == cold
+        assert result_digest(resumed) == cold
+        assert "probe" in thor.report().resume_hits
+        assert thor.report().incremental.get("refit", 0) == 0
+
 
 @needs_numpy
 class TestDriftModes:

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.artifacts import ArtifactStore
-from repro.config import ExecutionConfig, ThorConfig
+from repro.config import ExecutionConfig, StageTimeouts, ThorConfig
 from repro.core.page import Page
 from repro.deepweb.site import LabeledPage
 from repro.errors import (
@@ -282,7 +282,7 @@ class TestFaultPlanDeterminism:
         with pytest.raises(ValueError):
             ExecutionConfig(chunk_retries=-1)
         with pytest.raises(ValueError):
-            ExecutionConfig(stage_timeout_s=0.0)
+            ExecutionConfig(stage_timeouts=StageTimeouts(probe=0.0))
         with pytest.raises(ValueError):
             ExecutionConfig(min_surviving_fraction=1.5)
 

@@ -117,8 +117,8 @@ class TestExecutionConfig:
 
     def test_thor_config_carries_execution(self):
         config = ThorConfig(execution=ExecutionConfig(backend="python", n_jobs=2))
-        assert config.resolved_execution().backend == "python"
-        assert config.resolved_execution().n_jobs == 2
+        assert config.execution.backend == "python"
+        assert config.execution.n_jobs == 2
 
 
 class TestResolveNJobs:
@@ -141,29 +141,17 @@ class TestResolveNJobs:
 
 
 class TestRemovedBackendField:
-    """The deprecated per-stage ``backend`` fields are gone: setting
-    them is a typed :class:`ConfigError` naming the replacement."""
+    """The per-stage ``backend`` fields are gone from the stage
+    configs: passing one fails at construction (the backend lives on
+    ``ExecutionConfig``)."""
 
     def test_clustering_backend_raises(self):
-        with pytest.raises(ConfigError, match="ClusteringConfig.backend"):
+        with pytest.raises(TypeError, match="backend"):
             ClusteringConfig(backend="python")
 
     def test_subtree_backend_raises(self):
-        with pytest.raises(ConfigError, match="SubtreeConfig.backend"):
+        with pytest.raises(TypeError, match="backend"):
             SubtreeConfig(backend="python")
-
-    def test_error_names_the_replacement(self):
-        with pytest.raises(ConfigError, match="ExecutionConfig"):
-            ClusteringConfig(backend="numpy")
-
-    def test_unset_field_stays_silent(self, recwarn):
-        assert ClusteringConfig().backend is None
-        assert SubtreeConfig().backend is None
-        assert not recwarn.list
-
-    def test_resolved_execution_passthrough(self):
-        execution = ExecutionConfig(backend="python", n_jobs=2)
-        assert ThorConfig(execution=execution).resolved_execution() is execution
 
     def test_config_error_is_thor_error(self):
         from repro.errors import ThorError
@@ -173,12 +161,9 @@ class TestRemovedBackendField:
 
 class TestStageTimeouts:
     def test_per_stage_override_wins(self):
-        execution = ExecutionConfig(
-            stage_timeout_s=30.0,
-            stage_timeouts=StageTimeouts(cluster=5.0),
-        )
+        execution = ExecutionConfig(stage_timeouts=StageTimeouts(cluster=5.0))
         assert resolve_stage_timeout(execution, "cluster") == 5.0
-        assert resolve_stage_timeout(execution, "probe") == 30.0
+        assert resolve_stage_timeout(execution, "probe") is None
 
     def test_none_execution_means_no_deadline(self):
         for stage in WATCHDOG_STAGES:
@@ -200,7 +185,7 @@ class TestRunOptionsAndFleetConfig:
         options = RunOptions()
         assert options.run_id is None
         assert options.resume is False
-        assert options.streaming is False
+        assert options.incremental is False
         assert options.fault_plan is None
 
     def test_run_options_frozen(self):
