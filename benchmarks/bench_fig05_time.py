@@ -13,7 +13,7 @@ import os
 from conftest import BENCH_SEED, emit, merge_json
 from repro.eval.reporting import format_series
 from repro.signatures.registry import get_configuration
-from repro.vsm.matrix import HAVE_NUMPY
+from tests.oracles import registry as oracle_registry
 
 
 def test_fig05_time(corpus, quality_results, benchmark, capsys):
@@ -50,19 +50,25 @@ def test_fig05_time(corpus, quality_results, benchmark, capsys):
     )
 
 
-#: Wall-clock floor asserted for the TFIDF-tag numpy/python speedup at
-#: n=110. Measured ~5.6× on the reference machine; the CI smoke run
-#: (tiny corpus, shared runners) overrides this downward.
+#: Wall-clock floor asserted for the TFIDF-tag numpy speedup over the
+#: pure-python reference at n=110. Measured ~5.6× on the reference
+#: machine; the CI smoke run (tiny corpus, shared runners) overrides
+#: this downward.
 SPEEDUP_FLOOR = float(os.environ.get("REPRO_BENCH_SPEEDUP_FLOOR", "5.0"))
 
 
 def test_fig05_backend_speedup(corpus, capsys):
-    """Compare the compute backends per configuration at n=110.
+    """Compare production with the pure-python reference per
+    configuration at n=110.
 
-    Writes machine-readable per-config wall clock and speedups to
+    "python" times the reference configurations of
+    ``tests/oracles/registry.py`` (sparse-vector K-Means, scalar
+    k-medoids); "numpy" times production's
+    :func:`~repro.signatures.registry.get_configuration`. Writes
+    machine-readable per-config wall clock and speedups to
     ``results/BENCH_clustering.json`` and asserts the headline claim:
     TFIDF-tag K-Means (THOR's configuration) runs at least
-    ``SPEEDUP_FLOOR``× faster under the numpy backend. Times are the
+    ``SPEEDUP_FLOOR``× faster than the reference. Times are the
     minimum over several calls — the estimator least sensitive to
     scheduler noise — so the asserted ratio is the kernels', not the
     machine's.
@@ -72,7 +78,10 @@ def test_fig05_backend_speedup(corpus, capsys):
     configs = ("ttag", "rtag", "tcon", "rcon", "url")
     calls_per_site = 3
     sites = corpus[:3]  # url/python is O(n²) scalar calls — keep it bounded
-    backends = ("python", "numpy") if HAVE_NUMPY else ("python",)
+    lookups = {
+        "python": oracle_registry.get_configuration,
+        "numpy": get_configuration,
+    }
     page_sets = [list(sample.pages) for sample in sites]
     for pages in page_sets:  # pre-parse outside every timed region
         for page in pages:
@@ -80,21 +89,20 @@ def test_fig05_backend_speedup(corpus, capsys):
             page.term_counts()
 
     times: dict[str, dict[str, float]] = {}
-    for backend in backends:
-        times[backend] = {}
+    for implementation, lookup in lookups.items():
+        times[implementation] = {}
         for key in configs:
-            config = get_configuration(key)
-            calls = 1 if key == "url" and backend == "python" else calls_per_site
+            config = lookup(key)
+            calls = (
+                1 if key == "url" and implementation == "python" else calls_per_site
+            )
             best = float("inf")
             for pages in page_sets:
                 for call in range(calls):
                     started = time.perf_counter()
-                    config(
-                        pages, 4, restarts=1, seed=BENCH_SEED + call,
-                        backend=backend,
-                    )
+                    config(pages, 4, restarts=1, seed=BENCH_SEED + call)
                     best = min(best, time.perf_counter() - started)
-            times[backend][key] = best
+            times[implementation][key] = best
 
     payload = {
         "n_pages": 110,
@@ -103,7 +111,7 @@ def test_fig05_backend_speedup(corpus, capsys):
         "sites": len(sites),
         "calls_per_site": calls_per_site,
         "estimator": "min",
-        "numpy_available": HAVE_NUMPY,
+        "numpy_available": True,
         "notes": (
             "url/numpy wall clock depends heavily on interned-pair "
             "Levenshtein memo warmth: the first run over a URL "
@@ -113,10 +121,10 @@ def test_fig05_backend_speedup(corpus, capsys):
         "configs": {
             key: {
                 "python_seconds": times["python"][key],
-                "numpy_seconds": times.get("numpy", {}).get(key),
+                "numpy_seconds": times["numpy"][key],
                 "speedup": (
                     times["python"][key] / times["numpy"][key]
-                    if "numpy" in times and times["numpy"][key] > 0
+                    if times["numpy"][key] > 0
                     else None
                 ),
             }
@@ -137,8 +145,7 @@ def test_fig05_backend_speedup(corpus, capsys):
         )
     emit(capsys, "fig05_backend_speedup", "\n".join(lines))
 
-    if "numpy" in times:
-        assert payload["configs"]["ttag"]["speedup"] >= SPEEDUP_FLOOR
+    assert payload["configs"]["ttag"]["speedup"] >= SPEEDUP_FLOOR
 
 
 #: Restarts for the parallel-fan-out bench: enough serial work that the
@@ -155,19 +162,21 @@ def test_fig05_restart_parallelism(corpus, capsys):
     """Restart fan-out across worker processes on the Figure-5 workload.
 
     Clusters one site's 110-page sample with TFIDF-content K-Means
-    (the heaviest per-restart kernel of the figure) under the python
-    backend, serial vs ``n_jobs=2``. Per-restart seed streams make the
-    fan-out bitwise identical to the serial loop, which this asserts —
-    the timing entry lands in ``BENCH_clustering.json`` next to the
-    backend speedups, with ``cpu_count`` recorded so single-core
-    machines (where two workers time-slice one core) are not read as
+    (the heaviest per-restart kernel of the figure) using the
+    pure-python reference K-Means of ``tests/oracles/``, fanned out
+    through :func:`repro.runtime.run_restarts`, serial vs
+    ``n_jobs=2``. Per-restart seed streams make the fan-out bitwise
+    identical to the serial loop, which this asserts — the timing
+    entry lands in ``BENCH_clustering.json`` next to the speedups over
+    the reference, with ``cpu_count`` recorded so single-core machines
+    (where two workers time-slice one core) are not read as
     regressions.
     """
     import time
 
-    from repro.cluster.kmeans import KMeans
     from repro.signatures.content import content_signature
     from repro.vsm.weighting import tfidf_vectors
+    from tests.oracles.kmeans import OracleKMeans
 
     pages = list(corpus[0].pages)
     vectors = tfidf_vectors([content_signature(p) for p in pages])
@@ -176,13 +185,11 @@ def test_fig05_restart_parallelism(corpus, capsys):
     except AttributeError:  # pragma: no cover - non-POSIX only
         cpu_count = os.cpu_count() or 1
 
-    kwargs = dict(
-        k=4, restarts=PARALLEL_RESTARTS, seed=BENCH_SEED, backend="python"
-    )
+    kwargs = dict(k=4, restarts=PARALLEL_RESTARTS, seed=BENCH_SEED)
     timings = {}
     results = {}
     for n_jobs in (1, 2):
-        model = KMeans(n_jobs=n_jobs, **kwargs)
+        model = OracleKMeans(n_jobs=n_jobs, **kwargs)
         best = float("inf")
         for _ in range(2):
             started = time.perf_counter()

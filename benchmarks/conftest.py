@@ -79,7 +79,7 @@ def merge_json(name: str, fragment: dict) -> None:
     """Merge top-level keys into an archived JSON result.
 
     Lets several benches contribute sections to one file (e.g. the
-    backend speedups and the restart-parallelism entry both land in
+    reference speedups and the restart-parallelism entry both land in
     ``BENCH_clustering.json``) without clobbering each other.
     """
     import json

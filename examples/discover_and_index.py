@@ -3,8 +3,9 @@
 
 Reproduces the paper's whole data path in one script:
 
-1. breadth-first crawl of a (simulated) surface web, collecting unique
-   search forms — the paper's "over 3,000 unique search forms" stage;
+1. frontier crawl (:func:`repro.api.crawl`) of a (simulated) surface
+   web, collecting unique search forms — the paper's "over 3,000
+   unique search forms" stage;
 2. each discovered form becomes a deep-web source;
 3. THOR probes and extracts each source; the QA-Objects are indexed;
 4. the resulting engine answers content and site-level queries.
@@ -18,16 +19,18 @@ from __future__ import annotations
 
 import sys
 
-from repro.api import ThorConfig
-from repro.discovery import BreadthFirstCrawler, SimulatedWeb
+from repro import api
+from repro.api import CrawlConfig, ThorConfig
+from repro.discovery import SimulatedWeb
 from repro.engine import DeepWebSearchEngine
 
 
 def main(query: str = "camera") -> None:
     web = SimulatedWeb(n_pages=60, n_portals=5, seed=1)
     print(f"Crawling {web.seed_url} (budget 200 pages)...")
-    crawler = BreadthFirstCrawler(web.fetch, max_pages=200)
-    report = crawler.crawl([web.seed_url])
+    report = api.crawl(
+        web, config=ThorConfig(seed=1, crawl=CrawlConfig(max_pages=200))
+    )
     print(
         f"Fetched {report.pages_fetched} pages; discovered "
         f"{len(report.forms)} unique search forms:"

@@ -22,8 +22,8 @@ One import gives the whole pipeline behind five verbs::
   aggregated :class:`FleetReport` out.
 
 Each takes an optional :class:`ThorConfig` for *what to compute*
-(execution concerns — compute backend, worker processes, the
-persistent artifact cache — ride on ``ThorConfig.execution``), and an
+(execution concerns — worker processes, the persistent artifact
+cache — ride on ``ThorConfig.execution``), and an
 optional :class:`RunOptions` for *how this invocation behaves* —
 naming (``run_id``), resumption (``resume``), reuse of the stored site
 model (``incremental``), and seeded chaos (``fault_plan``). (The

@@ -115,10 +115,6 @@ class ArtifactStore:
         The bundle's ``__meta__`` entry (see :meth:`put_arrays`) is
         decoded back from JSON under the ``"meta"`` result key.
         """
-        from repro.vsm.matrix import HAVE_NUMPY
-
-        if not HAVE_NUMPY:  # pragma: no cover - stripped environments
-            return None
         import numpy as np
 
         path = self._path(kind, key, "npz")
@@ -142,10 +138,6 @@ class ArtifactStore:
 
     def put_arrays(self, kind: str, key: str, arrays: dict, meta: Any = None) -> None:
         """Store arrays (plus an optional JSON-able ``meta``) as npz."""
-        from repro.vsm.matrix import HAVE_NUMPY
-
-        if not HAVE_NUMPY:  # pragma: no cover - stripped environments
-            return
         import numpy as np
 
         payload: dict = dict(arrays)

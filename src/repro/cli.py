@@ -44,7 +44,6 @@ from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro.config import (
-    BACKENDS,
     INCREMENTAL_MODES,
     WATCHDOG_STAGES,
     ExecutionConfig,
@@ -71,7 +70,6 @@ def _thor_config(args: argparse.Namespace) -> ThorConfig:
         config = replace(
             config, clustering=replace(config.clustering, top_m=args.top_m)
         )
-    backend = getattr(args, "backend", None)
     jobs = getattr(args, "jobs", None)
     cache_dir = getattr(args, "cache_dir", None)
     no_artifact_cache = getattr(args, "no_artifact_cache", False)
@@ -88,8 +86,7 @@ def _thor_config(args: argparse.Namespace) -> ThorConfig:
     min_surviving = getattr(args, "min_surviving_fraction", None)
     distance_memo = getattr(args, "distance_memo_entries", None)
     if (
-        backend is not None
-        or jobs is not None
+        jobs is not None
         or cache_dir is not None
         or no_artifact_cache
         or no_recovery
@@ -102,7 +99,6 @@ def _thor_config(args: argparse.Namespace) -> ThorConfig:
         config = replace(
             config,
             execution=ExecutionConfig(
-                backend=backend,
                 n_jobs=1 if jobs is None else jobs,
                 cache_dir=cache_dir,
                 artifact_cache="off" if no_artifact_cache else "on",
@@ -666,10 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
     # Execution flags shared by every subcommand that computes
     # (extract/demo/search); they land on ThorConfig.execution.
     execution = argparse.ArgumentParser(add_help=False)
-    execution.add_argument(
-        "--backend", choices=list(BACKENDS), default=None,
-        help="compute backend (default: numpy when available)",
-    )
     execution.add_argument(
         "--jobs", type=int, default=None,
         help="worker processes for clustering restarts and Phase-2 "

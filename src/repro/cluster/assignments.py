@@ -79,11 +79,10 @@ def assign_to_centroids(rows, centroids) -> list[int]:
     the stored Phase-1 centroids, then an argmax per row. Ties break
     toward the lower cluster index — the same rule K-Means applies
     during a full fit, so a page that did not move re-earns its old
-    label. Requires the numpy backend.
+    label.
     """
-    from repro.vsm.matrix import _require_numpy, cosine_matrix
+    from repro.vsm.matrix import cosine_matrix
 
-    _require_numpy()
     if len(rows) == 0:
         return []
     similarities = cosine_matrix(rows, centroids)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from repro.config import BackendSelection, resolve_backend
+import numpy as np
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -84,19 +84,16 @@ def normalized_levenshtein(a: str, b: str) -> float:
 
 
 def batch_normalized_levenshtein(
-    a_strings: Sequence[str],
-    b_strings: Sequence[str],
-    backend: BackendSelection = None,
+    a_strings: Sequence[str], b_strings: Sequence[str]
 ) -> list[float]:
     """Normalized edit distances for *parallel* string pairs.
 
     ``result[i] == normalized_levenshtein(a_strings[i], b_strings[i])``
-    bitwise, for every ``i``. Under the ``"numpy"`` backend the whole
-    batch runs through one int-coded dynamic program
-    (:func:`_batched_dp_numpy`) — the kernel behind the Phase-2
-    quadruple distance matrices — while ``"python"`` evaluates the
-    scalar oracle pair by pair. Both paths apply the same two early
-    exits (equal strings, empty-vs-nonempty) before any DP work.
+    bitwise, for every ``i``. The whole batch runs through one
+    int-coded dynamic program (:func:`_batched_dp_numpy`) — the kernel
+    behind the Phase-2 quadruple distance matrices — after the same two
+    early exits as the scalar function (equal strings,
+    empty-vs-nonempty).
 
     >>> batch_normalized_levenshtein(["he", "table"], ["het", "table"])
     [0.3333333333333333, 0.0]
@@ -105,11 +102,6 @@ def batch_normalized_levenshtein(
         raise ValueError(
             f"batch length mismatch: {len(a_strings)} vs {len(b_strings)}"
         )
-    if resolve_backend(backend) == "python":
-        return [
-            normalized_levenshtein(a, b)
-            for a, b in zip(a_strings, b_strings)
-        ]
     out: list[Optional[float]] = [None] * len(a_strings)
     hard: list[int] = []
     for index, (a, b) in enumerate(zip(a_strings, b_strings)):
@@ -143,10 +135,8 @@ def _batched_dp_numpy(
     a short inner string can never contaminate its answer cell. The
     integer edit distances are exact, and the final division matches
     :func:`normalized_levenshtein` operation for operation — which is
-    what makes the two backends bitwise-interchangeable.
+    what makes the batch bitwise-interchangeable with the scalar path.
     """
-    import numpy as np
-
     # Keep the longer string of each pair on the outer (row) axis: the
     # outer loop runs max-outer-length times and the arrays are
     # (batch × max-inner-length), the smaller footprint.

@@ -14,11 +14,12 @@ vectors the mean pairwise similarity between clusters A and B is
 vectors — so merges are O(1) vector additions and the whole run is
 O(n² log n) with a heap.
 
-Under the ``numpy`` backend the initial n²/2 linkage computations —
-the dominant cost — collapse into a single Gram matmul over the
-unit-normalized :class:`~repro.vsm.matrix.VectorSpace` matrix, and
-each merge updates the remaining linkages with one matrix-vector
-product.
+The initial n²/2 linkage computations — the dominant cost — collapse
+into a single Gram matmul over the unit-normalized
+:class:`~repro.vsm.matrix.VectorSpace` matrix, and each merge updates
+the remaining linkages with one matrix-vector product. The
+sparse-vector formulation is the test-only reference in
+``tests/oracles/``.
 """
 
 from __future__ import annotations
@@ -28,13 +29,10 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.cluster.assignments import Clustering
-from repro.config import (
-    BackendSelection,
-    ExecutionConfig,
-    resolve_backend,
-    resolve_n_jobs,
-)
+from repro.config import ExecutionConfig, resolve_n_jobs
 from repro.errors import ClusteringError
 from repro.runtime import restart_seed_streams, run_restarts, select_best
 from repro.vsm.matrix import VectorSpace
@@ -59,7 +57,7 @@ class AgglomerativeResult:
 
 
 def _restart_worker(
-    payload: tuple[Sequence[SparseVector], int, BackendSelection],
+    payload: tuple["AverageLinkClusterer", Sequence[SparseVector]],
     seeds: Sequence,
 ) -> list[AgglomerativeResult]:
     """One chunk of restarts (module-level for process-pool pickling).
@@ -70,13 +68,14 @@ def _restart_worker(
     function of (vectors, restart seed), independent of which worker
     ran it or in what order.
     """
-    vectors, k, backend = payload
+    model, vectors = payload
+    n = len(vectors)
     results: list[AgglomerativeResult] = []
     for seed_material in seeds:
-        order = list(range(len(vectors)))
+        order = list(range(n))
         random.Random(seed_material).shuffle(order)
         permuted = [vectors[i] for i in order]
-        fitted = AverageLinkClusterer(k, backend=backend).fit(permuted)
+        fitted = model._fit_single(permuted, n, min(model.k, n))
         labels = [0] * len(vectors)
         for position, original in enumerate(order):
             labels[original] = fitted.clustering.labels[position]
@@ -112,7 +111,7 @@ class AverageLinkClusterer:
     def __init__(
         self,
         k: int,
-        backend: BackendSelection = None,
+        execution: Optional[ExecutionConfig] = None,
         restarts: int = 1,
         seed: Optional[int] = None,
         n_jobs: Optional[int] = None,
@@ -122,7 +121,7 @@ class AverageLinkClusterer:
         if restarts < 1:
             raise ClusteringError(f"restarts must be >= 1, got {restarts}")
         self.k = k
-        self.backend = backend
+        self.execution = execution
         self.restarts = restarts
         self.seed = seed
         self.n_jobs = n_jobs
@@ -135,85 +134,30 @@ class AverageLinkClusterer:
             seeds = restart_seed_streams(self.seed, self.restarts, "hac")
             results = run_restarts(
                 _restart_worker,
-                (list(vectors), self.k, self.backend),
+                (self, list(vectors)),
                 seeds,
-                n_jobs=resolve_n_jobs(self.backend, self.n_jobs),
+                n_jobs=resolve_n_jobs(self.execution, self.n_jobs),
                 label="hac",
-                execution=self.backend
-                if isinstance(self.backend, ExecutionConfig)
-                else None,
+                execution=self.execution,
             )
             return select_best(
                 results,
                 lambda candidate, incumbent: candidate.mean_merge_similarity
                 > incumbent.mean_merge_similarity,
             )
-        target_k = min(self.k, n)
-        if resolve_backend(self.backend) == "numpy":
-            return self._fit_numpy(vectors, n, target_k)
-        return self._fit_python(vectors, n, target_k)
+        return self._fit_single(vectors, n, min(self.k, n))
 
-    def _fit_python(
+    def _fit_single(
         self, vectors: Sequence[SparseVector], n: int, target_k: int
     ) -> AgglomerativeResult:
-        # Normalize defensively; zero vectors stay zero (similarity 0
-        # to everything, merged last).
-        unit: list[SparseVector] = [
-            v if v.is_zero() else v.normalized() for v in vectors
-        ]
-
-        # Union-find-ish bookkeeping: active cluster id → (sum vector,
-        # size, member indices).
-        sums: dict[int, SparseVector] = {i: unit[i] for i in range(n)}
-        sizes: dict[int, int] = {i: 1 for i in range(n)}
-        members: dict[int, list[int]] = {i: [i] for i in range(n)}
-        next_id = n
-
-        def linkage(a: int, b: int) -> float:
-            denom = sizes[a] * sizes[b]
-            if denom == 0:
-                return 0.0
-            return sums[a].dot(sums[b]) / denom
-
-        heap: list[tuple[float, int, int]] = []
-        active = set(range(n))
-        for a in active:
-            for b in active:
-                if a < b:
-                    heapq.heappush(heap, (-linkage(a, b), a, b))
-
-        merge_similarities: list[float] = []
-        while len(active) > target_k and heap:
-            neg_sim, a, b = heapq.heappop(heap)
-            if a not in active or b not in active:
-                continue  # stale entry
-            merge_similarities.append(-neg_sim)
-            merged = next_id
-            next_id += 1
-            sums[merged] = sums[a] + sums[b]
-            sizes[merged] = sizes[a] + sizes[b]
-            members[merged] = members[a] + members[b]
-            for stale in (a, b):
-                active.discard(stale)
-                del sums[stale], sizes[stale], members[stale]
-            for other in active:
-                heapq.heappush(heap, (-linkage(merged, other), merged, other))
-            active.add(merged)
-
-        return self._label(n, active, members, merge_similarities)
-
-    def _fit_numpy(
-        self, vectors: Sequence[SparseVector], n: int, target_k: int
-    ) -> AgglomerativeResult:
-        import numpy as np
-
+        """One deterministic average-link run in the given order."""
         space = VectorSpace.build(vectors)
         unit = space.matrix.copy()
         nonzero = space.norms > 0.0
         unit[nonzero] /= space.norms[nonzero, None]
 
         # Cluster-sum rows, indexed by cluster id (grown on merge).
-        sums: dict[int, "np.ndarray"] = {i: unit[i] for i in range(n)}
+        sums: dict[int, np.ndarray] = {i: unit[i] for i in range(n)}
         sizes: dict[int, int] = {i: 1 for i in range(n)}
         members: dict[int, list[int]] = {i: [i] for i in range(n)}
         next_id = n

@@ -12,14 +12,14 @@ is run for ``restarts`` independent iterations and the clustering with
 the highest *internal similarity* (Section 3.1.4) is kept — internal
 similarity needs no external labels, so it can guide model selection.
 
-Two compute backends share this driver (see
-:func:`repro.config.resolve_backend`): the pure-python reference path
-works a ``cosine_similarity`` call per (page, center) pair, while the
-``numpy`` backend interns the collection into a
-:class:`~repro.vsm.matrix.VectorSpace` once per ``fit`` and performs
-assignment, centroid update, and cohesion in O(1) matmuls / scatters
-per iteration. Both backends consume the restart RNG identically, so a
-seeded run yields the same labels under either.
+The collection is interned into a
+:class:`~repro.vsm.matrix.VectorSpace` once per ``fit``, and
+assignment, centroid update, and cohesion run as O(1) matmuls /
+scatters per iteration. The pure-python formulation — one
+``cosine_similarity`` call per (page, center) pair — is kept as the
+test-only reference in ``tests/oracles/``; it consumes the restart RNG
+call for call like this kernel, so a seeded run yields the same labels
+under both.
 
 Restarts are embarrassingly parallel: each draws from its own
 namespaced seed stream (:func:`repro.runtime.restart_seed_streams`),
@@ -34,18 +34,13 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.cluster.assignments import Clustering
-from repro.config import (
-    BackendSelection,
-    ExecutionConfig,
-    resolve_backend,
-    resolve_n_jobs,
-)
+from repro.config import ExecutionConfig, resolve_n_jobs
 from repro.errors import ClusteringError
 from repro.runtime import restart_seed_streams, run_restarts, select_best
-from repro.vsm.centroid import centroid
 from repro.vsm.matrix import VectorSpace, centroid_matrix, cosine_matrix
-from repro.vsm.similarity import cosine_similarity
 from repro.vsm.vector import SparseVector
 
 
@@ -60,50 +55,6 @@ class KMeansResult:
     restarts_run: int
 
 
-def _assign(
-    vectors: Sequence[SparseVector], centers: Sequence[SparseVector]
-) -> list[int]:
-    labels = []
-    for vector in vectors:
-        best_label = 0
-        best_sim = -1.0
-        for index, center in enumerate(centers):
-            sim = cosine_similarity(vector, center)
-            if sim > best_sim:
-                best_sim = sim
-                best_label = index
-        labels.append(best_label)
-    return labels
-
-
-def _cohesion(
-    vectors: Sequence[SparseVector],
-    labels: Sequence[int],
-    centers: Sequence[SparseVector],
-) -> float:
-    """Σ_i Σ_{p∈C_i} cos(p, center_i) — the standard cohesion
-    criterion (Steinbach/Karypis/Kumar 2000, which the paper cites).
-
-    ``centers`` are the final centers the main loop already computed;
-    reusing them instead of recomputing every centroid from the labels
-    saves one full centroid pass per restart. (On convergence the two
-    are identical — the loop exits when reassignment against these
-    exact centers leaves every label unchanged.)
-
-    Note: the paper's Section 3.1.4 additionally weights each cluster
-    by n_i/n, but that variant grows quadratically with cluster size
-    and therefore *prefers merging* a small page class into a large
-    near-identical one — the opposite of the reported behaviour
-    (entropy ≈ 0.04, i.e. classes kept apart). We use the unweighted
-    criterion the paper cites for restart selection and keep the
-    weighted formula in :mod:`repro.cluster.quality` for reporting.
-    """
-    return sum(
-        cosine_similarity(vector, centers[label])
-        for vector, label in zip(vectors, labels)
-    )
-
-
 class KMeans:
     """Simple K-Means with restarts and internal-similarity selection.
 
@@ -116,12 +67,20 @@ class KMeans:
     tag-signature clustering converges in a handful of iterations, but
     the bound protects against oscillation on degenerate inputs.
 
-    ``backend`` selects the compute layer ("python" or "numpy", or a
-    whole :class:`~repro.config.ExecutionConfig`); ``None`` defers to
-    :func:`repro.config.resolve_backend`. ``n_jobs`` fans restarts out
-    across worker processes (``None`` takes the count from an
-    ``ExecutionConfig`` backend, else 1); seeded results are identical
-    at any job count.
+    ``execution`` supplies the worker count and the fan-out recovery
+    policy; ``n_jobs`` fans restarts out across worker processes
+    (``None`` takes the count from ``execution``, else 1). Seeded
+    results are identical at any job count.
+
+    Restart selection maximizes the unweighted cohesion
+    Σ_i Σ_{p∈C_i} cos(p, center_i) — the standard criterion
+    (Steinbach/Karypis/Kumar 2000, which the paper cites). The paper's
+    Section 3.1.4 additionally weights each cluster by n_i/n, but that
+    variant grows quadratically with cluster size and therefore
+    *prefers merging* a small page class into a large near-identical
+    one — the opposite of the reported behaviour (entropy ≈ 0.04, i.e.
+    classes kept apart). The weighted formula stays in
+    :mod:`repro.cluster.quality` for reporting.
     """
 
     def __init__(
@@ -131,7 +90,7 @@ class KMeans:
         max_iterations: int = 100,
         seed: Optional[int] = None,
         init: str = "random",
-        backend: BackendSelection = None,
+        execution: Optional[ExecutionConfig] = None,
         n_jobs: Optional[int] = None,
     ) -> None:
         if k < 1:
@@ -150,8 +109,8 @@ class KMeans:
         #: (distance-weighted seeding under cosine distance) needs
         #: fewer restarts to find small classes.
         self.init = init
-        self.backend = backend
-        self.n_jobs = resolve_n_jobs(backend, n_jobs)
+        self.execution = execution
+        self.n_jobs = resolve_n_jobs(execution, n_jobs)
 
     def fit(self, vectors: Sequence[SparseVector]) -> KMeansResult:
         """Cluster ``vectors`` into (at most) ``k`` clusters.
@@ -163,25 +122,18 @@ class KMeans:
         """
         if not vectors:
             raise ClusteringError("cannot cluster an empty collection")
-        effective_k = min(self.k, len(vectors))
-        if resolve_backend(self.backend) == "numpy":
-            return self._fit_space(VectorSpace.build(vectors), effective_k)
-        return self._fit_restarts(_python_restart_batch, list(vectors), effective_k)
+        return self.fit_space(VectorSpace.build(vectors))
 
     def fit_space(self, space: VectorSpace) -> KMeansResult:
         """Cluster a prebuilt :class:`~repro.vsm.matrix.VectorSpace`.
 
         Callers that already hold a dense space (e.g. the vectorized
         TFIDF weighting of :func:`repro.vsm.matrix.weighted_space`) skip
-        the SparseVector round-trip entirely. Always runs the numpy
-        kernel — a space only exists when numpy does.
+        the SparseVector round-trip entirely.
         """
         if space.n == 0:
             raise ClusteringError("cannot cluster an empty collection")
-        return self._fit_space(space, min(self.k, space.n))
-
-    def _fit_space(self, space: VectorSpace, effective_k: int) -> KMeansResult:
-        return self._fit_restarts(_numpy_restart_batch, space, effective_k)
+        return self._fit_restarts(_restart_batch, space, min(self.k, space.n))
 
     def _fit_restarts(self, worker, data, effective_k: int) -> KMeansResult:
         """Run every restart on its own seed stream — inline or fanned
@@ -194,9 +146,7 @@ class KMeans:
             seeds,
             self.n_jobs,
             label="kmeans",
-            execution=self.backend
-            if isinstance(self.backend, ExecutionConfig)
-            else None,
+            execution=self.execution,
         )
         best = select_best(
             results,
@@ -215,79 +165,11 @@ class KMeans:
             restarts_run=self.restarts,
         )
 
-    # -- python reference backend --------------------------------------
-
-    def _seed_centers(
-        self, vectors: Sequence[SparseVector], k: int, rng: random.Random
-    ) -> list[SparseVector]:
-        if self.init == "random":
-            return [vectors[i] for i in rng.sample(range(len(vectors)), k)]
-        # kmeans++: pick the first center uniformly, then each next
-        # center with probability proportional to its cosine distance
-        # to the nearest already-chosen center.
-        centers = [vectors[rng.randrange(len(vectors))]]
-        while len(centers) < k:
-            weights = []
-            for vector in vectors:
-                nearest = max(
-                    cosine_similarity(vector, center) for center in centers
-                )
-                weights.append(max(0.0, 1.0 - nearest))
-            total = sum(weights)
-            if total == 0.0:
-                centers.append(vectors[rng.randrange(len(vectors))])
-                continue
-            threshold = rng.random() * total
-            cumulative = 0.0
-            chosen = vectors[-1]
-            for vector, weight in zip(vectors, weights):
-                cumulative += weight
-                if cumulative >= threshold:
-                    chosen = vector
-                    break
-            centers.append(chosen)
-        return centers
-
-    def _run_once(
-        self, vectors: Sequence[SparseVector], k: int, rng: random.Random
-    ) -> KMeansResult:
-        centers = self._seed_centers(vectors, k, rng)
-        labels = _assign(vectors, centers)
-        iterations = 1
-        while iterations < self.max_iterations:
-            new_centers = []
-            for cluster in range(k):
-                members = [vectors[i] for i, lab in enumerate(labels) if lab == cluster]
-                if members:
-                    new_centers.append(centroid(members))
-                else:
-                    # Re-seed an empty cluster with a random vector so k
-                    # clusters survive (the paper's simple K-Means does
-                    # not specify this; re-seeding is the common fix).
-                    new_centers.append(vectors[rng.randrange(len(vectors))])
-            new_labels = _assign(vectors, new_centers)
-            centers = new_centers
-            iterations += 1
-            if new_labels == labels:
-                labels = new_labels
-                break
-            labels = new_labels
-        similarity = _cohesion(vectors, labels, centers)
-        return KMeansResult(
-            clustering=Clustering(tuple(labels), k),
-            centroids=tuple(centers),
-            internal_similarity=similarity,
-            iterations=iterations,
-            restarts_run=1,
-        )
-
-    # -- numpy matrix backend ------------------------------------------
-
-    def _seed_rows_numpy(self, space: VectorSpace, k: int, rng: random.Random):
-        """Seed centers as matrix rows, mirroring the python backend's
-        RNG consumption call for call."""
-        import numpy as np
-
+    def _seed_rows(self, space: VectorSpace, k: int, rng: random.Random):
+        """Seed centers as matrix rows. "random" draws ``k`` distinct
+        rows; "kmeans++" picks the first uniformly, then each next with
+        probability proportional to its cosine distance to the nearest
+        already-chosen center."""
         matrix, norms = space.matrix, space.norms
         n = space.n
         if self.init == "random":
@@ -316,14 +198,12 @@ class KMeans:
             )
         return centers, np.linalg.norm(centers, axis=1)
 
-    def _run_once_numpy(
+    def _run_once_space(
         self, space: VectorSpace, k: int, rng: random.Random
     ) -> KMeansResult:
-        import numpy as np
-
         matrix, norms = space.matrix, space.norms
         n = space.n
-        centers, center_norms = self._seed_rows_numpy(space, k, rng)
+        centers, center_norms = self._seed_rows(space, k, rng)
         sims = cosine_matrix(matrix, centers, norms_a=norms, norms_b=center_norms)
         labels = np.argmax(sims, axis=1)
         iterations = 1
@@ -331,6 +211,9 @@ class KMeans:
             new_centers, counts = centroid_matrix(matrix, labels, k)
             for cluster in range(k):
                 if counts[cluster] == 0:
+                    # Re-seed an empty cluster with a random vector so k
+                    # clusters survive (the paper's simple K-Means does
+                    # not specify this; re-seeding is the common fix).
                     new_centers[cluster] = matrix[rng.randrange(n)]
             center_norms = np.linalg.norm(new_centers, axis=1)
             sims = cosine_matrix(
@@ -344,7 +227,9 @@ class KMeans:
                 break
             labels = new_labels
         # Cohesion from the similarities of the final assignment — the
-        # matmul above already holds every member-to-center cosine.
+        # matmul above already holds every member-to-center cosine (on
+        # convergence these are the final centers: reassignment against
+        # them left every label unchanged).
         similarity = float(sims[np.arange(n), labels].sum())
         return KMeansResult(
             clustering=Clustering(tuple(labels.tolist()), k),
@@ -355,18 +240,11 @@ class KMeans:
         )
 
 
-# -- restart batch workers (module-level so process pools can pickle them) --
+# -- restart batch worker (module-level so process pools can pickle it) --
 
 
-def _python_restart_batch(payload, seeds) -> list[KMeansResult]:
-    model, vectors, k = payload
-    return [
-        model._run_once(vectors, k, random.Random(seed)) for seed in seeds
-    ]
-
-
-def _numpy_restart_batch(payload, seeds) -> list[KMeansResult]:
+def _restart_batch(payload, seeds) -> list[KMeansResult]:
     model, space, k = payload
     return [
-        model._run_once_numpy(space, k, random.Random(seed)) for seed in seeds
+        model._run_once_space(space, k, random.Random(seed)) for seed in seeds
     ]

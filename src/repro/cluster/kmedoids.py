@@ -7,21 +7,20 @@ no vector space and no centroid, so the K-Means recipe is adapted with
 distance to the other members (Voronoi-iteration k-medoids). Restarts
 with best total-distance selection mirror the K-Means driver.
 
-With the ``numpy`` backend the pairwise matrix is held as a dense
-array and both the Voronoi assignment and the medoid update become
-batched reductions; callers that can compute the whole matrix with a
-vectorized kernel (e.g.
+The pairwise matrix is held as a dense array and both the Voronoi
+assignment and the medoid update are batched reductions; callers that
+can compute the whole matrix with a vectorized kernel (e.g.
 :func:`repro.vsm.matrix.pairwise_normalized_levenshtein` for URL
 batches) can hand it in via ``fit(..., precomputed=...)`` and skip the
 O(n²) scalar distance calls entirely.
 
-Cross-backend caveat: normalized edit distances are small rationals,
-so *exact* mathematical ties between candidate medoids are common;
-each backend breaks such a tie by the last ulp of its own summation
-order, so a seeded run may pick a different — equally central — medoid
-under the two backends. (K-Means does not share this caveat: cosine
-ties over continuous weights only arise from duplicate vectors, which
-both backends resolve identically.)
+Reference caveat: normalized edit distances are small rationals, so
+*exact* mathematical ties between candidate medoids are common; the
+pure-python reference in ``tests/oracles/`` breaks such a tie by the
+last ulp of its own summation order, so a seeded run may pick a
+different — equally central — medoid there. (K-Means does not share
+this caveat: cosine ties over continuous weights only arise from
+duplicate vectors, which both resolve identically.)
 """
 
 from __future__ import annotations
@@ -30,13 +29,10 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, TypeVar
 
+import numpy as np
+
 from repro.cluster.assignments import Clustering
-from repro.config import (
-    BackendSelection,
-    ExecutionConfig,
-    resolve_backend,
-    resolve_n_jobs,
-)
+from repro.config import ExecutionConfig, resolve_n_jobs
 from repro.errors import ClusteringError
 from repro.runtime import restart_seed_streams, run_restarts, select_best
 
@@ -67,7 +63,7 @@ class KMedoids:
         restarts: int = 10,
         max_iterations: int = 100,
         seed: Optional[int] = None,
-        backend: BackendSelection = None,
+        execution: Optional[ExecutionConfig] = None,
         n_jobs: Optional[int] = None,
     ) -> None:
         if k < 1:
@@ -77,8 +73,8 @@ class KMedoids:
         self.restarts = restarts
         self.max_iterations = max_iterations
         self.seed = seed
-        self.backend = backend
-        self.n_jobs = resolve_n_jobs(backend, n_jobs)
+        self.execution = execution
+        self.n_jobs = resolve_n_jobs(execution, n_jobs)
 
     def fit(self, items: Sequence[T], precomputed=None) -> KMedoidsResult:
         """Cluster ``items``.
@@ -90,39 +86,30 @@ class KMedoids:
         if not len(items):
             raise ClusteringError("cannot cluster an empty collection")
         n = len(items)
-        effective_k = min(self.k, n)
-        backend = resolve_backend(self.backend)
         if precomputed is not None:
-            matrix = precomputed
+            matrix = np.asarray(precomputed, dtype=np.float64)
         else:
-            matrix = [[0.0] * n for _ in range(n)]
+            matrix = np.zeros((n, n), dtype=np.float64)
             for i in range(n):
                 for j in range(i + 1, n):
-                    d = self.distance(items[i], items[j])
-                    matrix[i][j] = d
-                    matrix[j][i] = d
-        if backend == "numpy":
-            import numpy as np
+                    matrix[i, j] = matrix[j, i] = self.distance(
+                        items[i], items[j]
+                    )
+        return self._fit_matrix(_restart_batch, matrix, n)
 
-            data = np.asarray(matrix, dtype=np.float64)
-            worker = _numpy_restart_batch
-        else:
-            if not isinstance(matrix, list):
-                matrix = [list(row) for row in matrix]
-            data = matrix
-            worker = _python_restart_batch
+    def _fit_matrix(self, worker, data, n: int) -> KMedoidsResult:
+        """Run every restart of ``worker`` over the matrix ``data`` and
+        keep the lowest total distance (first restart wins ties)."""
         # One independent seed stream per restart (bitwise identical
         # serial or fanned out across n_jobs worker processes).
         seeds = restart_seed_streams(self.seed, self.restarts, "kmedoids")
         results = run_restarts(
             worker,
-            (self, data, n, effective_k),
+            (self, data, n, min(self.k, n)),
             seeds,
             self.n_jobs,
             label="kmedoids",
-            execution=self.backend
-            if isinstance(self.backend, ExecutionConfig)
-            else None,
+            execution=self.execution,
         )
         best = select_best(
             results,
@@ -132,58 +119,7 @@ class KMedoids:
         assert best is not None
         return best
 
-    # -- python reference backend --------------------------------------
-
-    def _run_once(
-        self, matrix: list[list[float]], n: int, k: int, rng: random.Random
-    ) -> KMedoidsResult:
-        medoids = rng.sample(range(n), k)
-        labels = self._assign(matrix, n, medoids)
-        iterations = 1
-        while iterations < self.max_iterations:
-            new_medoids = []
-            for cluster in range(k):
-                members = [i for i, lab in enumerate(labels) if lab == cluster]
-                if not members:
-                    new_medoids.append(rng.randrange(n))
-                    continue
-                best_member = min(
-                    members,
-                    key=lambda m: sum(matrix[m][other] for other in members),
-                )
-                new_medoids.append(best_member)
-            new_labels = self._assign(matrix, n, new_medoids)
-            iterations += 1
-            if new_labels == labels and new_medoids == medoids:
-                break
-            labels, medoids = new_labels, new_medoids
-        total = sum(matrix[i][medoids[labels[i]]] for i in range(n))
-        return KMedoidsResult(
-            clustering=Clustering(tuple(labels), k),
-            medoid_indices=tuple(medoids),
-            total_distance=total,
-            iterations=iterations,
-        )
-
-    @staticmethod
-    def _assign(matrix: list[list[float]], n: int, medoids: list[int]) -> list[int]:
-        labels = []
-        for i in range(n):
-            best_label = 0
-            best_dist = float("inf")
-            for index, medoid in enumerate(medoids):
-                d = matrix[i][medoid]
-                if d < best_dist:
-                    best_dist = d
-                    best_label = index
-            labels.append(best_label)
-        return labels
-
-    # -- numpy matrix backend ------------------------------------------
-
-    def _run_once_numpy(self, matrix, n: int, k: int, rng: random.Random):
-        import numpy as np
-
+    def _run_once_matrix(self, matrix, n: int, k: int, rng: random.Random):
         medoids = rng.sample(range(n), k)
         labels = np.argmin(matrix[:, medoids], axis=1)
         iterations = 1
@@ -211,22 +147,15 @@ class KMedoids:
         )
 
 
-# -- restart batch workers (module-level so process pools can pickle them) --
+# -- restart batch worker (module-level so process pools can pickle it) --
 # Note: with n_jobs > 1 the model (including its ``distance`` callable)
 # must pickle — module-level distance functions do; closures only work
 # in the serial n_jobs=1 path.
 
 
-def _python_restart_batch(payload, seeds) -> list[KMedoidsResult]:
+def _restart_batch(payload, seeds) -> list[KMedoidsResult]:
     model, matrix, n, k = payload
     return [
-        model._run_once(matrix, n, k, random.Random(seed)) for seed in seeds
-    ]
-
-
-def _numpy_restart_batch(payload, seeds) -> list[KMedoidsResult]:
-    model, matrix, n, k = payload
-    return [
-        model._run_once_numpy(matrix, n, k, random.Random(seed))
+        model._run_once_matrix(matrix, n, k, random.Random(seed))
         for seed in seeds
     ]

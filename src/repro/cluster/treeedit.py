@@ -10,26 +10,28 @@ program so the cost comparison can be reproduced honestly.
 Complexity is O(|T1|·|T2|·min(depth,leaves)²) time, which is exactly
 why the paper rejects it as a page-clustering similarity.
 
-Two compute backends share the keyroot driver (see
-:func:`repro.config.resolve_backend`): the scalar reference DP, and a
-``numpy`` kernel that vectorizes each forest-DP row the way
+The keyroot driver is a hybrid: wide keyroot forests run a kernel
+that vectorizes each forest-DP row the way
 :func:`repro.vsm.matrix._levenshtein_rowwise` vectorizes Levenshtein —
 the deletion/substitution/subtree terms become array ops and the
 sequential insertion recurrence collapses into one
-``np.minimum.accumulate`` over cost-offset values. With the default
-unit costs every intermediate is a small integer, exact in float64, so
-the two backends agree bitwise.
+``np.minimum.accumulate`` over cost-offset values — and narrow ones
+stay on the scalar forest DP. With the default unit costs every
+intermediate is a small integer, exact in float64, so the hybrid
+agrees bitwise with the scalar-only driver kept as the test-only
+reference in ``tests/oracles/``.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional, Union
 
-from repro.config import BackendSelection, resolve_backend
+import numpy as np
+
 from repro.html.tree import Node, TagNode, TagTree
 
 #: Minimum forest width (columns) for a keyroot pair to run the
-#: vectorized row kernel under the numpy backend; narrower forests —
+#: vectorized row kernel; narrower forests —
 #: the long tail of keyroot pairs — stay on the scalar DP, whose
 #: per-cell cost beats numpy's per-row dispatch overhead there. Same
 #: idea as ``repro.vsm.matrix._SCALAR_DP_AREA`` for Levenshtein.
@@ -97,7 +99,6 @@ def tree_edit_distance(
     relabel_cost: Optional[Callable[[str, str], float]] = None,
     insert_cost: float = 1.0,
     delete_cost: float = 1.0,
-    backend: BackendSelection = None,
 ) -> float:
     """Minimum-cost edit script (insert/delete/relabel) between trees.
 
@@ -105,10 +106,17 @@ def tree_edit_distance(
     ``#text``), matching the structural focus of the comparison in the
     paper. ``relabel_cost`` defaults to 0/1 (same/different label).
 
-    ``backend`` selects the DP kernel: ``"python"`` (scalar oracle) or
-    ``"numpy"`` (hybrid: row-vectorized forest DP on wide keyroot
-    forests, scalar on the narrow tail); ``None`` auto-resolves via
-    :func:`repro.config.resolve_backend`.
+    The DP is a hybrid row-vectorized Zhang–Shasha. The scalar forest
+    DP (:func:`_compute_treedist`) fills one cell at a time. Keyroot
+    forests wide enough to amortize array dispatch
+    (``cols >= _VECTOR_MIN_COLS``) run :func:`_vector_pair` instead,
+    which computes each DP row with whole-array operations; the many
+    narrow forests stay on the scalar DP over the shared ``treedist``
+    table. Both fill identical float64 values (with the default unit
+    costs every intermediate is a small integer, exact in float64), so
+    mixing them per pair is bitwise equivalent to either pure kernel.
+    Relabel costs are looked up in a table built once over the (few,
+    repeated) unique tag labels rather than called per node pair.
 
     >>> from repro.html import parse
     >>> t1 = parse("<html><body><p>x</p></body></html>")
@@ -116,24 +124,56 @@ def tree_edit_distance(
     >>> tree_edit_distance(t1, t2)
     1.0
     """
-    root_a = a.root if isinstance(a, TagTree) else a
-    root_b = b.root if isinstance(b, TagTree) else b
-
-    ta = _AnnotatedTree(root_a)
-    tb = _AnnotatedTree(root_b)
+    ta = _AnnotatedTree(a.root if isinstance(a, TagTree) else a)
+    tb = _AnnotatedTree(b.root if isinstance(b, TagTree) else b)
     size_a, size_b = len(ta), len(tb)
-    if resolve_backend(backend) == "numpy":
-        return _tree_edit_numpy(
-            ta, tb, relabel_cost, insert_cost, delete_cost
-        )
+    unique = sorted(set(ta.labels) | set(tb.labels))
+    index = {label: position for position, label in enumerate(unique)}
+    codes_a = np.fromiter(
+        (index[label] for label in ta.labels), dtype=np.int64, count=size_a
+    )
+    codes_b = np.fromiter(
+        (index[label] for label in tb.labels), dtype=np.int64, count=size_b
+    )
     if relabel_cost is None:
-        relabel_cost = lambda x, y: 0.0 if x == y else 1.0  # noqa: E731
+        scalar_cost = lambda x, y: 0.0 if x == y else 1.0  # noqa: E731
+        cost_table = np.ones((len(unique), len(unique)), dtype=np.float64)
+        np.fill_diagonal(cost_table, 0.0)
+    else:
+        scalar_cost = relabel_cost
+        cost_table = np.array(
+            [[relabel_cost(x, y) for y in unique] for x in unique],
+            dtype=np.float64,
+        )
     treedist = [[0.0] * size_b for _ in range(size_a)]
+
     for i in ta.keyroots:
         for j in tb.keyroots:
-            _compute_treedist(
-                ta, tb, i, j, treedist, relabel_cost, insert_cost, delete_cost
-            )
+            cols = j - tb.lmld[j] + 2
+            if cols < _VECTOR_MIN_COLS:
+                _compute_treedist(
+                    ta,
+                    tb,
+                    i,
+                    j,
+                    treedist,
+                    scalar_cost,
+                    insert_cost,
+                    delete_cost,
+                )
+            else:
+                _vector_pair(
+                    ta,
+                    tb,
+                    i,
+                    j,
+                    treedist,
+                    cost_table,
+                    codes_a,
+                    codes_b,
+                    insert_cost,
+                    delete_cost,
+                )
     return treedist[size_a - 1][size_b - 1]
 
 
@@ -179,82 +219,7 @@ def _compute_treedist(
                 )
 
 
-def _tree_edit_numpy(
-    ta: _AnnotatedTree,
-    tb: _AnnotatedTree,
-    relabel_cost: Optional[Callable[[str, str], float]],
-    insert_cost: float,
-    delete_cost: float,
-) -> float:
-    """Hybrid row-vectorized Zhang–Shasha.
-
-    The scalar forest DP fills one cell at a time. Keyroot forests wide
-    enough to amortize array dispatch (``cols >= _VECTOR_MIN_COLS``)
-    run :func:`_vector_pair` instead, which computes each DP row with
-    whole-array operations; the many narrow forests stay on the scalar
-    DP over the shared ``treedist`` table. Both fill identical float64
-    values (with the default unit costs every intermediate is a small
-    integer, exact in float64), so mixing them per pair is bitwise
-    equivalent to either pure kernel. Relabel costs are looked up in a
-    table built once over the (few, repeated) unique tag labels rather
-    than called per node pair.
-    """
-    import numpy as np
-
-    size_a, size_b = len(ta), len(tb)
-    unique = sorted(set(ta.labels) | set(tb.labels))
-    index = {label: position for position, label in enumerate(unique)}
-    codes_a = np.fromiter(
-        (index[label] for label in ta.labels), dtype=np.int64, count=size_a
-    )
-    codes_b = np.fromiter(
-        (index[label] for label in tb.labels), dtype=np.int64, count=size_b
-    )
-    if relabel_cost is None:
-        scalar_cost = lambda x, y: 0.0 if x == y else 1.0  # noqa: E731
-        cost_table = np.ones((len(unique), len(unique)), dtype=np.float64)
-        np.fill_diagonal(cost_table, 0.0)
-    else:
-        scalar_cost = relabel_cost
-        cost_table = np.array(
-            [[relabel_cost(x, y) for y in unique] for x in unique],
-            dtype=np.float64,
-        )
-    treedist = [[0.0] * size_b for _ in range(size_a)]
-
-    for i in ta.keyroots:
-        for j in tb.keyroots:
-            cols = j - tb.lmld[j] + 2
-            if cols < _VECTOR_MIN_COLS:
-                _compute_treedist(
-                    ta,
-                    tb,
-                    i,
-                    j,
-                    treedist,
-                    scalar_cost,
-                    insert_cost,
-                    delete_cost,
-                )
-            else:
-                _vector_pair(
-                    np,
-                    ta,
-                    tb,
-                    i,
-                    j,
-                    treedist,
-                    cost_table,
-                    codes_a,
-                    codes_b,
-                    insert_cost,
-                    delete_cost,
-                )
-    return treedist[size_a - 1][size_b - 1]
-
-
 def _vector_pair(
-    np,
     ta: _AnnotatedTree,
     tb: _AnnotatedTree,
     i: int,
@@ -320,9 +285,7 @@ def _vector_pair(
 
 
 def normalized_tree_edit_distance(
-    a: Union[TagTree, TagNode],
-    b: Union[TagTree, TagNode],
-    backend: BackendSelection = None,
+    a: Union[TagTree, TagNode], b: Union[TagTree, TagNode]
 ) -> float:
     """Tree edit distance scaled by the larger tree size into [0, 1]."""
     root_a = a.root if isinstance(a, TagTree) else a
@@ -330,4 +293,4 @@ def normalized_tree_edit_distance(
     largest = max(root_a.size(), root_b.size())
     if largest == 0:
         return 0.0
-    return tree_edit_distance(root_a, root_b, backend=backend) / largest
+    return tree_edit_distance(root_a, root_b) / largest

@@ -15,15 +15,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.resilience.faults import FaultPlan
-
-#: Valid compute backends: "numpy" is the vectorized matrix backend
-#: (:mod:`repro.vsm.matrix`), "python" the pure-python reference
-#: implementation kept as the correctness oracle.
-BACKENDS = ("python", "numpy")
 
 #: Valid :class:`ExecutionConfig` cache policies.
 CACHE_POLICIES = ("on", "off")
@@ -58,33 +53,21 @@ class StageTimeouts:
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """How the pipeline computes: backend, parallelism, caching.
+    """How the pipeline computes: parallelism, caching, recovery.
 
     One object answers the *how* questions every stage used to answer
-    separately: which compute kernels run (``backend``), how many
-    worker processes fan restarts and per-page Phase-2 analysis out
-    (``n_jobs``), whether interned
-    :class:`~repro.vsm.matrix.VectorSpace` builds are reused across
-    calls over the same collection (``cache``), and whether expensive
-    intermediates persist across *processes* in an on-disk artifact
-    store (``cache_dir`` / ``artifact_cache`` —
-    :mod:`repro.artifacts`). Every entry point that accepts a
-    ``backend`` argument also accepts a full ``ExecutionConfig`` in
-    its place.
+    separately: how many worker processes fan restarts and per-page
+    Phase-2 analysis out (``n_jobs``), whether expensive intermediates
+    persist across *processes* in an on-disk artifact store
+    (``cache_dir`` / ``artifact_cache`` — :mod:`repro.artifacts`), and
+    how failed fan-out chunks and slow stages are handled. Every
+    compute entry point takes one as its ``execution`` argument.
     """
 
-    #: Compute backend: "python", "numpy", or ``None`` to defer to
-    #: :func:`resolve_backend` (explicit value > ``REPRO_BACKEND`` env
-    #: var > auto-detection — the env var is the lowest-precedence way
-    #: to *select* a backend and only fills in when nothing is set).
-    backend: Optional[str] = None
     #: Worker processes for restart fan-out and Phase-2 per-page
     #: analysis: 1 = serial (default), N > 1 = that many processes,
     #: 0 = one per available core.
     n_jobs: int = 1
-    #: "on" reuses interned vector spaces across calls over the same
-    #: collection (keyed by content, so never stale); "off" disables.
-    cache: str = "on"
     #: Root directory of the persistent artifact store. ``None`` defers
     #: to the ``REPRO_CACHE_DIR`` environment variable; with neither
     #: set, no on-disk cache is used (see :func:`resolve_cache_dir`).
@@ -123,11 +106,6 @@ class ExecutionConfig:
     def __post_init__(self) -> None:
         if self.n_jobs < 0:
             raise ValueError(f"n_jobs must be >= 0, got {self.n_jobs}")
-        if self.cache not in CACHE_POLICIES:
-            raise ValueError(
-                f"unknown cache policy {self.cache!r}; "
-                f"valid: {', '.join(CACHE_POLICIES)}"
-            )
         if self.artifact_cache not in CACHE_POLICIES:
             raise ValueError(
                 f"unknown artifact cache policy {self.artifact_cache!r}; "
@@ -154,52 +132,8 @@ class ExecutionConfig:
             )
 
 
-#: A backend selection: a plain backend name, a full execution config,
-#: or ``None`` for the default resolution chain.
-BackendSelection = Union[str, ExecutionConfig, None]
-
-
-def resolve_backend(backend: BackendSelection = None) -> str:
-    """Resolve a compute-backend selection to ``"python"`` or ``"numpy"``.
-
-    Accepts a backend name or a whole :class:`ExecutionConfig` (its
-    ``backend`` field is used). ``None`` means "use the default": the
-    ``REPRO_BACKEND`` environment variable if set, otherwise ``"numpy"``
-    when numpy is importable and ``"python"`` on stripped environments —
-    i.e. any explicit selection outranks the env var, which outranks
-    only auto-detection. An explicit ``"numpy"`` request on a machine
-    without numpy raises, so silent slowdowns cannot masquerade as the
-    vectorized backend.
-
-    >>> resolve_backend("python")
-    'python'
-    >>> resolve_backend(ExecutionConfig(backend="python"))
-    'python'
-    """
-    if isinstance(backend, ExecutionConfig):
-        backend = backend.backend
-    if backend is None:
-        backend = os.environ.get("REPRO_BACKEND") or None
-    if backend is None:
-        from repro.vsm.matrix import HAVE_NUMPY
-
-        return "numpy" if HAVE_NUMPY else "python"
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; valid: {', '.join(BACKENDS)}"
-        )
-    if backend == "numpy":
-        from repro.vsm.matrix import HAVE_NUMPY
-
-        if not HAVE_NUMPY:
-            raise ValueError(
-                "backend 'numpy' requested but numpy is not installed"
-            )
-    return backend
-
-
 def resolve_n_jobs(
-    backend: BackendSelection = None, n_jobs: Optional[int] = None
+    execution: Optional[ExecutionConfig] = None, n_jobs: Optional[int] = None
 ) -> int:
     """Resolve a worker-process count to a concrete integer >= 1.
 
@@ -209,11 +143,11 @@ def resolve_n_jobs(
 
     >>> resolve_n_jobs(ExecutionConfig(n_jobs=4))
     4
-    >>> resolve_n_jobs("numpy")
+    >>> resolve_n_jobs(None)
     1
     """
-    if n_jobs is None and isinstance(backend, ExecutionConfig):
-        n_jobs = backend.n_jobs
+    if n_jobs is None and execution is not None:
+        n_jobs = execution.n_jobs
     if n_jobs is None:
         return 1
     if n_jobs < 0:
@@ -226,7 +160,7 @@ def resolve_n_jobs(
     return n_jobs
 
 
-def resolve_cache_dir(execution: "BackendSelection" = None) -> Optional[str]:
+def resolve_cache_dir(execution: Optional[ExecutionConfig] = None) -> Optional[str]:
     """Resolve the on-disk artifact-store root, or ``None`` when the
     persistent cache is disabled.
 
@@ -242,7 +176,7 @@ def resolve_cache_dir(execution: "BackendSelection" = None) -> Optional[str]:
     ... ) is None
     True
     """
-    if isinstance(execution, ExecutionConfig):
+    if execution is not None:
         if execution.artifact_cache == "off":
             return None
         if execution.cache_dir:
@@ -663,7 +597,7 @@ class ThorConfig:
     #: Seed for every stochastic component (K-Means starts, probe word
     #: sampling, prototype page choice); None = nondeterministic.
     seed: int | None = None
-    #: How the pipeline computes (backend, worker processes, caching) —
+    #: How the pipeline computes (worker processes, caching, recovery) —
     #: one execution config shared by clustering, subtree matching,
     #: content ranking, and the benchmarks.
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)

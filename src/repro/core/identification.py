@@ -12,19 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.config import (
-    ExecutionConfig,
-    SubtreeConfig,
-    resolve_cache_dir,
-    resolve_n_jobs,
-)
+from repro.config import ExecutionConfig, SubtreeConfig
 from repro.core.page import Page
 from repro.core.pagelet import QAPagelet
 from repro.core.selection import ScoredSet, score_sets
-from repro.core.single_page import (
-    candidate_records_for_cluster,
-    candidate_subtrees_for_cluster,
-)
+from repro.core.single_page import candidate_records_for_cluster
 from repro.core.subtree_ranking import (
     RankedSubtreeSet,
     dynamic_sets,
@@ -81,25 +73,11 @@ class PageletIdentifier:
         if not pages:
             raise ExtractionError("cannot identify pagelets in an empty cluster")
         cfg = self.config
-        # The record-backed pipeline (node-free candidate snapshots)
-        # is what fans out over processes and round-trips through the
-        # artifact cache; it is bitwise identical to the node-backed
-        # one, but snapshots term counts eagerly — so plain serial
-        # no-cache runs keep the lazy node path.
-        use_records = (
-            resolve_n_jobs(self.execution) > 1
-            or resolve_cache_dir(self.execution) is not None
+        candidates = candidate_records_for_cluster(
+            pages,
+            require_branching=cfg.require_branching,
+            execution=self.execution,
         )
-        if use_records:
-            candidates = candidate_records_for_cluster(
-                pages,
-                require_branching=cfg.require_branching,
-                execution=self.execution,
-            )
-        else:
-            candidates = candidate_subtrees_for_cluster(
-                pages, require_branching=cfg.require_branching
-            )
         if not any(candidates):
             return IdentificationResult(tuple(pages), (), (), ())
         sets = find_common_subtree_sets(
@@ -108,14 +86,14 @@ class PageletIdentifier:
             max_assign_distance=cfg.max_assign_distance,
             path_code_length=cfg.path_code_length,
             seed=self.seed,
-            backend=self.execution,
+            execution=self.execution,
         )
         ranked = rank_subtree_sets(
             sets,
             n_pages=len(pages),
             static_similarity_threshold=cfg.static_similarity_threshold,
             min_support=cfg.min_support,
-            backend=self.execution,
+            execution=self.execution,
         )
         scored = score_sets(
             dynamic_sets(ranked),
@@ -180,7 +158,7 @@ class PageletIdentifier:
                 # Strict descendants of the pagelet are exactly the
                 # paths extending its own (see _containment_relation
                 # for why the trailing "/" makes this the descendant
-                # relation, for node-free record members too).
+                # relation).
                 prefix = member.shape.path + "/"
                 dynamic_paths = self._member_paths_inside(
                     prefix,
@@ -190,16 +168,14 @@ class PageletIdentifier:
                 static_paths = self._member_paths_inside(
                     prefix, page_index, static_sets
                 )
-                node = member.node
-                if node is None:
-                    # Record-backed winner: resolve the path against
-                    # the page's tree once, only for actual pagelets.
-                    node = resolve_path(page.tree, member.shape.path)
                 pagelets.append(
                     QAPagelet(
                         page=page,
                         path=member.shape.path,
-                        node=node,
+                        # Members are node-free records: resolve the
+                        # path against the page's tree, only for
+                        # actual pagelets.
+                        node=resolve_path(page.tree, member.shape.path),
                         score=scored_set.score,
                         rank=rank,
                         contained_dynamic_paths=dynamic_paths,

@@ -89,7 +89,7 @@ class PageClusterer:
             self.config.k,
             restarts=self.config.restarts,
             seed=self.seed,
-            backend=self.execution,
+            execution=self.execution,
         )
         scores = score_clusters(pages, clustering, self.config.ranking_weights)
         return PageClusteringResult(tuple(pages), clustering, tuple(scores))

@@ -64,16 +64,12 @@ def _has_similar_dom_siblings(
     """Majority vote over sampled member pages: does the member's
     parent hold another tag child of similar shape?
 
-    Node-backed members walk the live DOM; record-backed members
-    (parallel/cached pipeline) replay the identical comparison from
-    the sibling shapes snapshotted at record-build time — same fresh
-    codec, same code-assignment order, same float operations.
+    Each member's candidate record snapshotted its DOM siblings'
+    shapes, so the vote replays the live-DOM comparison without the
+    page tree — same fresh codec, same code-assignment order, same
+    float operations.
     """
-    from repro.core.subtree_sets import (
-        SubtreeCandidate,
-        make_candidate,
-        shape_distance,
-    )
+    from repro.core.subtree_sets import SubtreeCandidate, shape_distance
     from repro.html.metrics import SubtreeShape
     from repro.html.paths import TagCodec
 
@@ -83,47 +79,31 @@ def _has_similar_dom_siblings(
     for page_index in sorted(ranked.subtree_set.members)[:sample_pages]:
         member = ranked.subtree_set.members[page_index]
         sampled += 1
-        if member.node is None:
-            target = SubtreeCandidate(
+        target = SubtreeCandidate(
+            page_index=page_index,
+            node=None,
+            shape=member.shape,
+            code_path=codec.simplify(list(member.tags)),
+        )
+        parent_tags = list(member.tags[:-1])
+        for tag, fanout, nodes in member.siblings:
+            other = SubtreeCandidate(
                 page_index=page_index,
                 node=None,
-                shape=member.shape,
-                code_path=codec.simplify(list(member.tags)),
+                # DOM siblings share the member's parent, hence its
+                # depth; the path expression plays no role in the
+                # distance.
+                shape=SubtreeShape(
+                    path="",
+                    fanout=fanout,
+                    depth=member.shape.depth,
+                    nodes=nodes,
+                ),
+                code_path=codec.simplify(parent_tags + [tag]),
             )
-            parent_tags = list(member.tags[:-1])
-            for tag, fanout, nodes in member.siblings:
-                other = SubtreeCandidate(
-                    page_index=page_index,
-                    node=None,
-                    # DOM siblings share the member's parent, hence its
-                    # depth; the path expression plays no role in the
-                    # distance.
-                    shape=SubtreeShape(
-                        path="",
-                        fanout=fanout,
-                        depth=member.shape.depth,
-                        nodes=nodes,
-                    ),
-                    code_path=codec.simplify(parent_tags + [tag]),
-                )
-                if shape_distance(target, other) <= threshold:
-                    votes += 1
-                    break
-            continue
-        parent = member.node.parent
-        if parent is None:
-            continue
-        target = make_candidate(page_index, member.node, codec)
-        similar = 0
-        for child in parent.tag_children():
-            if child is member.node:
-                continue
-            other = make_candidate(page_index, child, codec)
             if shape_distance(target, other) <= threshold:
-                similar += 1
+                votes += 1
                 break
-        if similar:
-            votes += 1
     return sampled > 0 and votes * 2 > sampled
 
 
@@ -137,8 +117,8 @@ def _containment_relation(
     Enclosure is decided on path expressions: within one page tree a
     node's path strictly extends every ancestor's path, and the
     trailing ``"/"`` guard keeps ``div[1]`` from matching ``div[10]``
-    — exactly the descendant relation, without touching the DOM (so
-    node-free record members work too).
+    — exactly the descendant relation, without touching the DOM
+    (members are node-free records).
     """
     n_sets = len(candidates)
     # Per page: set index -> member path expression.

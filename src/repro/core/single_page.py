@@ -17,13 +17,14 @@ The page root itself is never a candidate: the paper's selection step
 explicitly discourages "the subtree corresponding to the entire page".
 
 Two output forms exist. :func:`candidate_subtrees` returns live
-:class:`~repro.html.tree.TagNode` handles into the page tree — the
-historical, serial form. :func:`page_candidate_records` snapshots the
-same candidates into node-free :class:`CandidateRecord` values (paths,
-shape quadruples, subtree term counts, sibling shapes) that pickle
-across process boundaries and serialize into the artifact cache; the
-records carry everything downstream Phase-2 steps read from a node, so
-the record-backed pipeline is bitwise identical to the node-backed one.
+:class:`~repro.html.tree.TagNode` handles into the page tree (the
+wrapper and the record builder use it).
+:func:`candidate_records_for_cluster` — the form Phase 2 runs on —
+snapshots the same candidates into node-free :class:`CandidateRecord`
+values (paths, shape quadruples, subtree term counts, sibling shapes)
+that pickle across process boundaries and serialize into the artifact
+cache; the records carry everything downstream Phase-2 steps read from
+a node.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def candidate_subtrees(
 def candidate_subtrees_for_cluster(
     pages: Sequence[Page], require_branching: bool = False
 ) -> list[list[TagNode]]:
-    """Single-page analysis over a whole page cluster."""
+    """Single-page analysis over a whole page cluster, as live nodes."""
     return [candidate_subtrees(p, require_branching) for p in pages]
 
 
@@ -118,10 +119,10 @@ def candidate_subtrees_for_cluster(
 class CandidateRecord:
     """A node-free snapshot of one candidate subtree.
 
-    Holds exactly what downstream Phase-2 steps read from a live node:
+    Holds exactly what downstream Phase-2 steps need from a live node:
     the shape quadruple ⟨P, F, D, N⟩, the raw root→node tag sequence
-    (q-letter simplification happens at grouping time so codec code
-    assignment order matches the node pipeline), the subtree's term
+    (q-letter simplification happens at grouping time, in the codec
+    code-assignment order a walk over the nodes would give), the subtree's term
     counts under the default extractor (dict insertion order is
     load-bearing: it fixes vocabulary column order in the TFIDF
     ranking), and the shapes of the member's DOM siblings (the
@@ -291,8 +292,7 @@ def candidate_records_for_cluster(
     :mod:`repro.core.columnar`); with a configured cache
     directory each page's records are served from — or published to —
     the persistent store. Output order follows ``pages``, and per-page
-    record order is the document order of :func:`candidate_subtrees`,
-    so the result is interchangeable with the node pipeline's.
+    record order is the document order of :func:`candidate_subtrees`.
     """
     n_jobs = resolve_n_jobs(execution)
     cache_root = resolve_cache_dir(execution)

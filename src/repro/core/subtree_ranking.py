@@ -13,13 +13,10 @@ similarity (most dynamic) first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
-from repro.config import BackendSelection, ExecutionConfig, resolve_backend
-from repro.core.subtree_sets import CommonSubtreeSet, SubtreeCandidate
-from repro.text.terms import TermExtractor, DEFAULT_EXTRACTOR
-from repro.vsm.vector import SparseVector
-from repro.vsm.weighting import CorpusWeighter, raw_tf_vector
+from repro.config import ExecutionConfig
+from repro.core.subtree_sets import CommonSubtreeSet
 
 
 @dataclass(frozen=True)
@@ -34,96 +31,47 @@ class RankedSubtreeSet:
     is_static: bool
 
 
-def _member_term_counts(
-    candidate: SubtreeCandidate, extractor: TermExtractor
-) -> dict:
-    """A member's content term counts, from its record when possible.
-
-    Record-backed candidates snapshot the subtree's counts under the
-    default extractor at record-build time; the snapshot preserves the
-    extractor's insertion order, so using it is indistinguishable from
-    re-extracting the node text. Any other extractor (or a node-backed
-    candidate) extracts from the live node.
-    """
-    if candidate.term_counts is not None and extractor is DEFAULT_EXTRACTOR:
-        return candidate.term_counts
-    return extractor.extract_counts(candidate.node.text())
-
-
-def set_content_vectors(
-    subtree_set: CommonSubtreeSet,
-    extractor: TermExtractor = DEFAULT_EXTRACTOR,
-    use_tfidf: bool = True,
-) -> list[SparseVector]:
-    """Vectorize the content of each member of a set.
-
-    With ``use_tfidf=False`` raw (normalized) term frequencies are
-    used — the ablation shown in Figure 9's left histogram.
-    """
-    counts = [
-        _member_term_counts(c, extractor) for c in subtree_set.candidates()
-    ]
-    if not use_tfidf:
-        return [raw_tf_vector(c) for c in counts]
-    weighter = CorpusWeighter.fit(counts)
-    return weighter.transform_all(counts)
-
-
 def intra_set_similarity(
     subtree_set: CommonSubtreeSet,
-    extractor: TermExtractor = DEFAULT_EXTRACTOR,
     use_tfidf: bool = True,
-    backend: BackendSelection = None,
+    execution: Optional[ExecutionConfig] = None,
 ) -> float:
     """Mean pairwise cosine similarity of the set's member contents.
 
     Singleton sets score 1.0 (no variation is observable, so they are
     indistinguishable from static content). Members whose content is
-    empty yield zero vectors, which cosine treats as orthogonal.
+    empty yield zero vectors, which cosine treats as orthogonal. Each
+    member's term counts are the ones its candidate record snapshotted
+    under the default extractor. With ``use_tfidf=False`` raw
+    (normalized) term frequencies are used — the ablation shown in
+    Figure 9's left histogram.
 
-    With the ``numpy`` backend the whole set is weighted in one
-    :func:`repro.vsm.matrix.weighted_space` batch instead of one
-    :class:`~repro.vsm.vector.SparseVector` per member.
+    The whole set is weighted in one
+    :func:`repro.vsm.matrix.weighted_space` batch; with an
+    ``execution`` plan the build goes through the keyed (and, when
+    configured, persistent) space cache, so a warm rerun skips the
+    TFIDF build per set.
     """
-    if resolve_backend(backend) == "numpy":
-        counts = [
-            _member_term_counts(c, extractor) for c in subtree_set.candidates()
-        ]
-        n = len(counts)
-        if n <= 1:
-            return 1.0
-        scheme = "tfidf" if use_tfidf else "raw"
-        if isinstance(backend, ExecutionConfig):
-            # Through the keyed (and, when configured, persistent)
-            # space cache: a warm rerun skips the TFIDF build per set.
-            from repro.runtime import cached_weighted_space
-
-            space = cached_weighted_space(counts, scheme, backend)
-        else:
-            from repro.vsm.matrix import weighted_space
-
-            space = weighted_space(counts, scheme)
-        # Rows are unit length (or zero): Σ_{i<j} v_i·v_j =
-        # (‖Σv‖² − #non-zero) / 2, one axis-sum and one dot product.
-        composite = space.matrix.sum(axis=0)
-        non_zero = int((space.norms > 0.0).sum())
-        pair_sum = (float(composite @ composite) - non_zero) / 2.0
-        return _clamp_unit(pair_sum / (n * (n - 1) / 2.0))
-    vectors = set_content_vectors(subtree_set, extractor, use_tfidf)
-    n = len(vectors)
+    counts = [c.term_counts for c in subtree_set.candidates()]
+    n = len(counts)
     if n <= 1:
         return 1.0
-    # The member vectors are unit length (or zero), so the mean
-    # pairwise cosine has a closed form: Σ_{i<j} v_i·v_j =
-    # (‖Σv‖² − #non-zero) / 2, making this O(n·dims) instead of the
-    # naive O(n²·dims).
-    from repro.vsm.centroid import vector_sum
+    scheme = "tfidf" if use_tfidf else "raw"
+    if execution is not None:
+        from repro.runtime import cached_weighted_space
 
-    composite = vector_sum(vectors)
-    non_zero = sum(1 for v in vectors if not v.is_zero())
-    pair_sum = (composite.norm**2 - non_zero) / 2.0
-    pairs = n * (n - 1) / 2.0
-    return _clamp_unit(pair_sum / pairs)
+        space = cached_weighted_space(counts, scheme, execution)
+    else:
+        from repro.vsm.matrix import weighted_space
+
+        space = weighted_space(counts, scheme)
+    # Rows are unit length (or zero), so the mean pairwise cosine has a
+    # closed form: Σ_{i<j} v_i·v_j = (‖Σv‖² − #non-zero) / 2, one
+    # axis-sum and one dot product instead of O(n²) pair products.
+    composite = space.matrix.sum(axis=0)
+    non_zero = int((space.norms > 0.0).sum())
+    pair_sum = (float(composite @ composite) - non_zero) / 2.0
+    return _clamp_unit(pair_sum / (n * (n - 1) / 2.0))
 
 
 def _clamp_unit(value: float) -> float:
@@ -135,12 +83,13 @@ def _clamp_unit(value: float) -> float:
     return value
 
 
-#: Decimal places the ranking sort sees. The two backends agree on
-#: similarities well past this precision but not bitwise; quantizing
-#: the sort key (and breaking the resulting ties by discovery order,
-#: which is backend-independent) keeps the ranked order — and
-#: everything downstream, e.g. exported pagelet annotations —
-#: identical whichever backend scored the sets.
+#: Decimal places the ranking sort sees. The sparse-vector reference
+#: (``tests/oracles/``) agrees with the matrix similarity well past
+#: this precision but not bitwise; quantizing the sort key (and
+#: breaking the resulting ties by discovery order, which both share)
+#: keeps the ranked order — and everything downstream, e.g. exported
+#: pagelet annotations — identical under either, so the ranking tests
+#: can compare orders exactly.
 _SORT_PRECISION = 12
 
 
@@ -149,9 +98,8 @@ def rank_subtree_sets(
     n_pages: int,
     static_similarity_threshold: float = 0.5,
     min_support: float = 0.5,
-    extractor: TermExtractor = DEFAULT_EXTRACTOR,
     use_tfidf: bool = True,
-    backend: BackendSelection = None,
+    execution: Optional[ExecutionConfig] = None,
 ) -> list[RankedSubtreeSet]:
     """Score, filter, and rank common subtree sets.
 
@@ -162,17 +110,13 @@ def rank_subtree_sets(
     come first; static sets are retained (flagged) for diagnostics but
     sorted after dynamic ones.
     """
-    resolve_backend(backend)  # validate early; pass the original through
-    # (an ExecutionConfig carries cache settings intra_set_similarity
-    # uses for the persistent space cache — don't flatten it to a
-    # backend string here).
     min_pages = max(1, int(min_support * n_pages))
     ranked = []
     for subtree_set in sets:
         if subtree_set.support < min_pages:
             continue
         similarity = intra_set_similarity(
-            subtree_set, extractor, use_tfidf, backend=backend
+            subtree_set, use_tfidf, execution=execution
         )
         ranked.append(
             RankedSubtreeSet(

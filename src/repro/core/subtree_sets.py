@@ -23,10 +23,12 @@ from __future__ import annotations
 import random
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro.cluster.editdist import cached_normalized_levenshtein
-from repro.config import BackendSelection, ExecutionConfig, resolve_backend
+from repro.config import ExecutionConfig
 from repro.errors import ExtractionError
 from repro.html.metrics import SubtreeShape, subtree_shape
 from repro.html.paths import TagCodec, node_tag_sequence
@@ -44,10 +46,12 @@ class SubtreeCandidate:
     """One candidate subtree with its precomputed shape features.
 
     ``node`` is ``None`` for candidates built from node-free
-    :class:`~repro.core.single_page.CandidateRecord` snapshots (the
-    parallel/cached pipeline); those carry the record's term counts,
-    raw tag sequence, and sibling shapes instead, which is everything
-    downstream ranking and selection otherwise read from the node.
+    :class:`~repro.core.single_page.CandidateRecord` snapshots — the
+    form Phase 2 runs on; those carry the record's term counts, raw tag
+    sequence, and sibling shapes instead, which is everything
+    downstream ranking and selection read. Node-backed candidates
+    (:func:`make_candidate`) serve the wrapper and Stage 3, which work
+    on one live page tree.
     """
 
     page_index: int
@@ -85,8 +89,8 @@ def make_candidate_from_record(
 
     The codec simplifies the record's raw tag sequence exactly where
     :func:`make_candidate` would simplify the node's, so first-come
-    code assignment — and therefore every path distance — matches the
-    node pipeline bitwise.
+    code assignment — and therefore every path distance — matches a
+    node-backed candidate bitwise.
     """
     return SubtreeCandidate(
         page_index=page_index,
@@ -194,8 +198,6 @@ def quad_matrix_memo_stats() -> dict[str, int]:
 def _quad_columns(quads: tuple[_Quad, ...]):
     """Columnar view of a quadruple batch: paths + an (n × 3) numeric
     matrix (fanout, depth, nodes), built once per unique batch."""
-    import numpy as np
-
     paths = [quad[0] for quad in quads]
     numbers = np.array(
         [quad[1:] for quad in quads], dtype=np.float64
@@ -217,8 +219,6 @@ def _compact_distance_matrix(
     operations of the full matrix: the four weighted terms accumulate
     in the same order as the scalar :func:`shape_distance`.
     """
-    import numpy as np
-
     from repro.vsm.matrix import pairwise_normalized_levenshtein
 
     memo_key = (weights, a_quads, b_quads)
@@ -276,8 +276,6 @@ def shape_distance_matrix(
     :func:`shape_distance` bitwise — every path computes the identical
     sequence of float operations per quadruple pair.
     """
-    import numpy as np
-
     a_quads = [_candidate_quad(c) for c in a_candidates]
     b_quads = [_candidate_quad(c) for c in b_candidates]
     a_unique = tuple(dict.fromkeys(a_quads))
@@ -312,13 +310,6 @@ class CommonSubtreeSet:
         return len(self.members)
 
 
-def _as_candidate(page_index: int, item, codec: TagCodec) -> SubtreeCandidate:
-    """Adapt one per-page item — live node or node-free record."""
-    if isinstance(item, TagNode):
-        return make_candidate(page_index, item, codec)
-    return make_candidate_from_record(page_index, item, codec)
-
-
 def find_common_subtree_sets(
     candidates_per_page: Sequence[Sequence[Any]],
     weights: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25),
@@ -326,36 +317,30 @@ def find_common_subtree_sets(
     path_code_length: int = 1,
     prototype_index: Optional[int] = None,
     seed: Optional[int] = None,
-    backend: BackendSelection = None,
+    execution: Optional[ExecutionConfig] = None,
 ) -> list[CommonSubtreeSet]:
     """Group candidate subtrees across the cluster's pages.
 
-    ``candidates_per_page[i]`` holds page i's candidates from
-    single-page analysis — either live :class:`TagNode` handles or
-    node-free :class:`~repro.core.single_page.CandidateRecord`
-    snapshots (the parallel/cached pipeline); both forms produce
-    identical groupings. The prototype page is chosen at random
+    ``candidates_per_page[i]`` holds page i's node-free
+    :class:`~repro.core.single_page.CandidateRecord` snapshots from
+    single-page analysis. The prototype page is chosen at random
     (seeded) unless ``prototype_index`` pins it. Pages other than the
     prototype are matched greedily: all (set, candidate) pairs are
     sorted by distance and accepted when both the set's slot for that
     page and the candidate are still free and the distance is within
-    ``max_assign_distance``.
-
-    ``backend`` selects the distance computation: under "numpy" the
-    full prototype × candidate distance matrix for each page is built
-    by :func:`shape_distance_matrix` in a handful of array operations;
-    "python" does one scalar :func:`shape_distance` per pair. Both
-    yield identical groupings.
+    ``max_assign_distance``. The full prototype × candidate distance
+    matrix for each page is built by :func:`shape_distance_matrix` in
+    a handful of array operations; ``execution`` bounds its memo
+    (``distance_memo_entries``).
 
     Raises :class:`ExtractionError` when there are no pages or the
     chosen prototype page has no candidates.
     """
     if not candidates_per_page:
         raise ExtractionError("no pages given to cross-page analysis")
-    if isinstance(backend, ExecutionConfig):
+    if execution is not None:
         # The execution plan bounds the quadruple-matrix memo.
-        set_quad_matrix_memo_limit(backend.distance_memo_entries)
-    backend = resolve_backend(backend)
+        set_quad_matrix_memo_limit(execution.distance_memo_entries)
     rng = random.Random(seed)
     codec = TagCodec(path_code_length)
 
@@ -372,36 +357,29 @@ def find_common_subtree_sets(
             raise ExtractionError("no candidate subtrees in any page")
         rich = [i for i, c in enumerate(counts) if c >= 0.8 * best]
         prototype_index = rng.choice(rich)
-    prototype_nodes = candidates_per_page[prototype_index]
-    if not prototype_nodes:
+    prototype_records = candidates_per_page[prototype_index]
+    if not prototype_records:
         raise ExtractionError(f"prototype page {prototype_index} has no candidates")
 
     sets = []
-    for node in prototype_nodes:
-        candidate = _as_candidate(prototype_index, node, codec)
+    for record in prototype_records:
+        candidate = make_candidate_from_record(prototype_index, record, codec)
         sets.append(CommonSubtreeSet(candidate, {prototype_index: candidate}))
 
     prototypes = [subtree_set.prototype for subtree_set in sets]
-    for page_index, nodes in enumerate(candidates_per_page):
-        if page_index == prototype_index or not nodes:
+    for page_index, records in enumerate(candidates_per_page):
+        if page_index == prototype_index or not records:
             continue
-        page_candidates = [_as_candidate(page_index, n, codec) for n in nodes]
-        pairs: list[tuple[float, int, int]] = []
-        if backend == "numpy":
-            import numpy as np
-
-            distances = shape_distance_matrix(prototypes, page_candidates, weights)
-            set_rows, cand_cols = np.nonzero(distances <= max_assign_distance)
-            pairs = [
-                (float(distances[s, c]), int(s), int(c))
-                for s, c in zip(set_rows, cand_cols)
-            ]
-        else:
-            for set_index, proto in enumerate(prototypes):
-                for cand_index, candidate in enumerate(page_candidates):
-                    distance = shape_distance(proto, candidate, weights)
-                    if distance <= max_assign_distance:
-                        pairs.append((distance, set_index, cand_index))
+        page_candidates = [
+            make_candidate_from_record(page_index, record, codec)
+            for record in records
+        ]
+        distances = shape_distance_matrix(prototypes, page_candidates, weights)
+        set_rows, cand_cols = np.nonzero(distances <= max_assign_distance)
+        pairs = [
+            (float(distances[s, c]), int(s), int(c))
+            for s, c in zip(set_rows, cand_cols)
+        ]
         pairs.sort(key=lambda t: t[0])
         used_sets: set[int] = set()
         used_candidates: set[int] = set()

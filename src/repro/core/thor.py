@@ -154,8 +154,8 @@ class Thor:
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         self.config = config
-        #: The execution plan (backend / n_jobs / cache) every stage
-        #: shares.
+        #: The execution plan (n_jobs / artifact store / recovery)
+        #: every stage shares.
         self.execution = execution = config.execution
         #: Seeded chaos injected into this instance's runs (tests/CI);
         #: ``None`` — the default — injects nothing.

@@ -8,17 +8,16 @@ surface web:
 - :mod:`repro.discovery.web` — a seeded static web graph whose pages
   carry links, boilerplate, and (on some pages) the search forms of
   simulated deep-web sites.
-- :mod:`repro.discovery.crawler` — a breadth-first crawler with a page
-  budget that visits the graph and collects the unique search forms it
-  encounters.
+- :mod:`repro.discovery.crawler` — link extraction and the
+  :class:`~repro.discovery.crawler.DiscoveredForm` provenance record
+  that the crawl frontier (:func:`repro.api.crawl`) builds on while it
+  visits the graph and collects the unique search forms it encounters.
 """
 
-from repro.discovery.crawler import BreadthFirstCrawler, CrawlReport, DiscoveredForm
+from repro.discovery.crawler import DiscoveredForm
 from repro.discovery.web import SimulatedWeb
 
 __all__ = [
-    "BreadthFirstCrawler",
-    "CrawlReport",
     "DiscoveredForm",
     "SimulatedWeb",
 ]

@@ -1,20 +1,20 @@
-"""Breadth-first crawler that collects unique search forms.
+"""Crawl building blocks: discovered-form provenance and link extraction.
 
-Mirrors the paper's corpus construction: start from a seed URL, crawl
-breadth-first under a page budget, parse every fetched page, and
-record each *unique* search form encountered (uniqueness by form
-action — the paper reports "over 3,000 unique search forms").
+The paper's corpus construction crawls from a seed URL under a page
+budget, parses every fetched page, and records each *unique* search
+form encountered (uniqueness by form action — the paper reports "over
+3,000 unique search forms"). The crawl itself is the frontier service
+(:func:`repro.api.crawl`, :mod:`repro.frontier.service`); this module
+holds the two pieces it reads every page with.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
 from repro.frontier.urls import canonicalize_url
-from repro.html.forms import SearchForm, find_search_forms
-from repro.html.parser import parse
+from repro.html.forms import SearchForm
 from repro.html.tree import TagNode
 
 
@@ -24,25 +24,8 @@ class DiscoveredForm:
 
     form: SearchForm
     found_on: str
-    #: Breadth-first depth at which the hosting page was reached.
+    #: Link depth at which the hosting page was reached.
     depth: int
-
-
-@dataclass(frozen=True)
-class CrawlReport:
-    """The outcome of one crawl."""
-
-    pages_fetched: int
-    pages_failed: int
-    forms: tuple[DiscoveredForm, ...]
-    frontier_exhausted: bool
-    #: URLs successfully fetched, in fetch (BFS) order — the crawl's
-    #: deterministic trace, asserted seed-stable by the discovery tests.
-    visited: tuple[str, ...] = ()
-
-    @property
-    def unique_actions(self) -> list[str]:
-        return [d.form.action for d in self.forms]
 
 
 def _extract_links(root: TagNode, base_url: Optional[str] = None) -> list[str]:
@@ -64,68 +47,3 @@ def _extract_links(root: TagNode, base_url: Optional[str] = None) -> list[str]:
             if url is not None:
                 links.append(url)
     return links
-
-
-class BreadthFirstCrawler:
-    """BFS crawl with a page budget and per-URL error tolerance.
-
-    ``fetch`` maps a URL to HTML and may raise for dead links; failures
-    are counted, not fatal. Discovered links are canonicalized against
-    the hosting page's URL (relative hrefs resolve, fragment-only and
-    ``javascript:`` hrefs are dropped) before they enter the queue.
-    """
-
-    def __init__(
-        self,
-        fetch: Callable[[str], str],
-        max_pages: int = 200,
-        url_filter: Optional[Callable[[str], bool]] = None,
-    ) -> None:
-        if max_pages < 1:
-            raise ValueError("max_pages must be >= 1")
-        self._fetch = fetch
-        self.max_pages = max_pages
-        self._url_filter = url_filter or (lambda url: url.startswith("http"))
-
-    def crawl(self, seeds: Iterable[str]) -> CrawlReport:
-        """Crawl breadth-first from ``seeds``; collect search forms."""
-        queue: deque[tuple[str, int]] = deque(
-            (seed, 0) for seed in seeds
-        )
-        visited: set[str] = set()
-        order: list[str] = []
-        seen_actions: set[str] = set()
-        forms: list[DiscoveredForm] = []
-        fetched = 0
-        failed = 0
-
-        while queue and fetched < self.max_pages:
-            url, depth = queue.popleft()
-            if url in visited or not self._url_filter(url):
-                continue
-            visited.add(url)
-            try:
-                html = self._fetch(url)
-            except Exception:
-                failed += 1
-                continue
-            fetched += 1
-            order.append(url)
-            tree = parse(html, url=url)
-            for form in find_search_forms(tree):
-                if form.action and form.action not in seen_actions:
-                    seen_actions.add(form.action)
-                    forms.append(
-                        DiscoveredForm(form=form, found_on=url, depth=depth)
-                    )
-            for link in _extract_links(tree.root, base_url=url):
-                if link not in visited:
-                    queue.append((link, depth + 1))
-
-        return CrawlReport(
-            pages_fetched=fetched,
-            pages_failed=failed,
-            forms=tuple(forms),
-            frontier_exhausted=not queue,
-            visited=tuple(order),
-        )

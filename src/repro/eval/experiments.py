@@ -18,16 +18,10 @@ from repro.cluster.quality import clustering_entropy
 from repro.cluster.random_baseline import random_clustering
 from repro.cluster.scalar import ScalarKMeans
 from repro.cluster.editdist import normalized_levenshtein
-from repro.config import (
-    BackendSelection,
-    ExecutionConfig,
-    SubtreeConfig,
-    ThorConfig,
-    resolve_backend,
-)
+from repro.config import ExecutionConfig, SubtreeConfig, ThorConfig
 from repro.core.identification import PageletIdentifier
 from repro.core.probing import QueryProber
-from repro.core.single_page import candidate_subtrees_for_cluster
+from repro.core.single_page import candidate_records_for_cluster
 from repro.core.subtree_ranking import intra_set_similarity
 from repro.core.subtree_sets import find_common_subtree_sets
 from repro.core.thor import Thor
@@ -63,15 +57,14 @@ def clustering_quality_experiment(
     restarts: int = 1,
     repeats: int = 3,
     seed: int = 0,
-    backend: BackendSelection = None,
+    execution: Optional[ExecutionConfig] = None,
 ) -> dict[str, dict[int, EntropyPoint]]:
     """Average clustering entropy and time per configuration and size.
 
     Mirrors Section 4.1: for each site, draw ``n`` pages, cluster with
     each configuration, and measure entropy against the hand labels.
     ``restarts=1`` matches the paper's "time to run one iteration".
-    ``backend`` selects the compute layer for every configuration (see
-    :func:`repro.config.resolve_backend`).
+    ``execution`` is handed to every configuration.
     """
     results: dict[str, dict[int, EntropyPoint]] = {key: {} for key in config_keys}
     for key in config_keys:
@@ -104,7 +97,7 @@ def clustering_quality_experiment(
                         k,
                         restarts=restarts,
                         seed=rng.randrange(2**31),
-                        backend=backend,
+                        execution=execution,
                     )
                     times.append(time.perf_counter() - started)
                     entropies.append(clustering_entropy(clustering, classes))
@@ -127,7 +120,7 @@ def cluster_synthetic(
     k: int = 4,
     restarts: int = 1,
     seed: Optional[int] = None,
-    backend: BackendSelection = None,
+    execution: Optional[ExecutionConfig] = None,
 ) -> Clustering:
     """Cluster synthetic page signatures under one representation.
 
@@ -149,11 +142,9 @@ def cluster_synthetic(
             distance=normalized_levenshtein,
             restarts=restarts,
             seed=seed,
-            backend=backend,
+            execution=execution,
         )
-        precomputed = None
-        if resolve_backend(backend) == "numpy":
-            precomputed = pairwise_normalized_levenshtein(urls)
+        precomputed = pairwise_normalized_levenshtein(urls)
         return medoids.fit(urls, precomputed=precomputed).clustering
     elif representation == "rand":
         return random_clustering(len(pages), k, seed=seed)
@@ -165,7 +156,7 @@ def cluster_synthetic(
         vectors = weighter.transform_all(documents)
     else:
         vectors = [raw_tf_vector(d) for d in documents]
-    kmeans = KMeans(k, restarts=restarts, seed=seed, backend=backend)
+    kmeans = KMeans(k, restarts=restarts, seed=seed, execution=execution)
     return kmeans.fit(vectors).clustering
 
 
@@ -176,7 +167,7 @@ def synthetic_scale_experiment(
     k: int = 5,
     seed: int = 0,
     entropy_restarts: int = 5,
-    backend: BackendSelection = None,
+    execution: Optional[ExecutionConfig] = None,
 ) -> dict[str, dict[int, EntropyPoint]]:
     """Entropy and per-iteration time as the collection grows.
 
@@ -196,7 +187,7 @@ def synthetic_scale_experiment(
             classes = [p.class_label for p in subset]
             started = time.perf_counter()
             clustering = cluster_synthetic(
-                subset, rep, k=k, restarts=1, seed=seed, backend=backend
+                subset, rep, k=k, restarts=1, seed=seed, execution=execution
             )
             elapsed = time.perf_counter() - started
             if entropy_restarts > 1:
@@ -206,7 +197,7 @@ def synthetic_scale_experiment(
                     k=k,
                     restarts=entropy_restarts,
                     seed=seed,
-                    backend=backend,
+                    execution=execution,
                 )
             results[rep][n] = EntropyPoint(
                 entropy=clustering_entropy(clustering, classes),
@@ -289,7 +280,7 @@ def similarity_histogram_experiment(
     counts = [0] * buckets
     for sample in samples:
         for cluster_pages in _pagelet_clusters(sample):
-            candidates = candidate_subtrees_for_cluster(cluster_pages)
+            candidates = candidate_records_for_cluster(cluster_pages)
             if not any(candidates):
                 continue
             sets = find_common_subtree_sets(
@@ -507,11 +498,10 @@ def sensitivity_experiment(
     sensitivity sweep ("ranging the number of clusters from 2 to 5 and
     the internal cluster iterations from 2 to 20").
 
-    Every (k, restarts) point re-clusters the *same* collection, so on
-    the numpy backend the keyed :func:`repro.runtime.cached_weighted_space`
-    cache pays the vector-space interning cost once per site instead of
-    once per point; ``execution`` also carries ``n_jobs`` for restart
-    fan-out."""
+    Every (k, restarts) point re-clusters the *same* collection, so the
+    keyed :func:`repro.runtime.cached_weighted_space` cache pays the
+    vector-space interning cost once per site instead of once per
+    point; ``execution`` also carries ``n_jobs`` for restart fan-out."""
     config = get_configuration("ttag")
     results: dict[tuple[int, int], float] = {}
     for k in k_values:
@@ -520,7 +510,7 @@ def sensitivity_experiment(
             for sample in samples:
                 pages = list(sample.pages)
                 clustering = config(
-                    pages, k, restarts=restarts, seed=seed, backend=execution
+                    pages, k, restarts=restarts, seed=seed, execution=execution
                 )
                 entropies.append(
                     clustering_entropy(clustering, [p.class_label for p in pages])

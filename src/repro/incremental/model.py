@@ -123,15 +123,7 @@ def site_identity(urls: Sequence[str]) -> str:
 
 
 def save_model(store: ArtifactStore, model: SiteModel) -> None:
-    """Publish ``model`` into its named slot (last-writer-wins).
-
-    A no-op on stripped environments without numpy — incremental runs
-    there fall back to full refits via the resulting model miss.
-    """
-    from repro.vsm.matrix import HAVE_NUMPY
-
-    if not HAVE_NUMPY:  # pragma: no cover - stripped environments
-        return
+    """Publish ``model`` into its named slot (last-writer-wins)."""
     import numpy as np
 
     fp_values: list[int] = []

@@ -54,7 +54,7 @@ def checkpoint_key(run_id: str, stage: str) -> str:
 def config_fingerprint(config) -> str:
     """A digest of everything that determines a run's results.
 
-    Execution concerns (worker count, backend, cache policy) are
+    Execution concerns (worker count, artifact store, recovery) are
     deliberately excluded: the parallel == serial and warm == cold
     invariants mean a run may be resumed with a different execution
     plan and still digest identically.

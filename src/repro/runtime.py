@@ -1,10 +1,9 @@
 """The execution layer: *how* the pipeline computes.
 
-Every stage used to answer three questions on its own — which compute
-kernels to run, whether to parallelize, what to reuse between calls.
-This module centralizes them behind one :class:`ExecutionConfig`
-(backend + worker processes + cache policy) and provides the shared
-machinery:
+Every stage used to answer two questions on its own — whether to
+parallelize, and what to reuse between calls. This module centralizes
+them behind one :class:`ExecutionConfig` (worker processes + artifact
+store + recovery policy) and provides the shared machinery:
 
 - **Per-restart seed streams** (:func:`restart_seed_streams`): the
   clustering drivers used to thread a single ``random.Random`` through
@@ -31,7 +30,7 @@ machinery:
 
 The user-facing knobs live on :class:`repro.config.ExecutionConfig`
 (re-exported here), threaded through ``ThorConfig.execution``, the
-stage drivers, and the CLI ``--backend`` / ``--jobs`` flags.
+stage drivers, and the CLI ``--jobs`` / ``--cache-dir`` flags.
 """
 
 from __future__ import annotations
@@ -40,14 +39,7 @@ import random
 from collections import OrderedDict
 from typing import Any, Callable, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.config import (
-    BACKENDS,
-    BackendSelection,
-    ExecutionConfig,
-    resolve_backend,
-    resolve_cache_dir,
-    resolve_n_jobs,
-)
+from repro.config import ExecutionConfig, resolve_cache_dir, resolve_n_jobs
 from repro.errors import ChunkFailedError
 
 #: Seed material for one restart: anything ``random.Random`` accepts
@@ -401,7 +393,6 @@ def cached_weighted_space(
     plus the weighting scheme), so a hit is always the exact space a
     fresh build would produce; the k-sensitivity sweeps re-cluster one
     collection per (k, restarts) point and pay the interning cost once.
-    ``ExecutionConfig(cache="off")`` bypasses the cache entirely.
     Spaces must be treated as immutable by callers (they already are:
     every kernel copies before writing).
 
@@ -414,8 +405,6 @@ def cached_weighted_space(
     """
     from repro.vsm.matrix import weighted_space
 
-    if execution is not None and execution.cache == "off":
-        return weighted_space(count_maps, weighting)
     key = _space_key(count_maps, weighting)
     space = _SPACE_CACHE.get(key)
     if space is not None:
@@ -496,15 +485,12 @@ def clear_space_cache() -> None:
 
 
 __all__ = [
-    "BACKENDS",
-    "BackendSelection",
     "ExecutionConfig",
     "SeedMaterial",
     "artifact_store_for",
     "cached_weighted_space",
     "clear_artifact_store_registry",
     "clear_space_cache",
-    "resolve_backend",
     "resolve_cache_dir",
     "resolve_n_jobs",
     "restart_seed_streams",

@@ -27,11 +27,10 @@ from repro.cluster.kmeans import KMeans
 from repro.cluster.kmedoids import KMedoids
 from repro.cluster.random_baseline import random_clustering
 from repro.cluster.scalar import ScalarKMeans
-from repro.config import BackendSelection, ExecutionConfig, resolve_backend
+from repro.config import ExecutionConfig
 from repro.core.page import Page
 from repro.runtime import cached_weighted_space
 from repro.vsm.matrix import pairwise_normalized_levenshtein
-from repro.vsm.weighting import raw_tf_vector, tfidf_vectors
 from repro.signatures.content import content_signature
 from repro.signatures.size import size_signature
 from repro.signatures.tag import tag_signature
@@ -43,17 +42,18 @@ class ClusteringConfig:
     """A named page-clustering approach.
 
     ``cluster`` partitions ``pages`` into ``k`` clusters; ``restarts``,
-    ``seed``, and ``backend`` are forwarded to the underlying algorithm
-    (ignored by the random baseline's single draw). ``backend`` is a
-    :data:`~repro.config.BackendSelection` — a backend name or a whole
-    :class:`~repro.config.ExecutionConfig`, whose ``n_jobs`` and
-    ``cache`` policy the vector configurations honor too.
+    ``seed``, and ``execution`` are forwarded to the underlying
+    algorithm (ignored by the random baseline's single draw). The
+    :class:`~repro.config.ExecutionConfig` supplies the restart
+    fan-out and, for the vector configurations, the artifact store the
+    keyed space cache persists to.
     """
 
     key: str
     label: str
     cluster: Callable[
-        [Sequence[Page], int, int, Optional[int], BackendSelection], Clustering
+        [Sequence[Page], int, int, Optional[int], Optional[ExecutionConfig]],
+        Clustering,
     ]
 
     def __call__(
@@ -62,9 +62,9 @@ class ClusteringConfig:
         k: int,
         restarts: int = 10,
         seed: Optional[int] = None,
-        backend: BackendSelection = None,
+        execution: Optional[ExecutionConfig] = None,
     ) -> Clustering:
-        return self.cluster(pages, k, restarts, seed, backend)
+        return self.cluster(pages, k, restarts, seed, execution)
 
 
 def _vector_kmeans(signature: Callable[[Page], dict], weighting: str):
@@ -73,22 +73,15 @@ def _vector_kmeans(signature: Callable[[Page], dict], weighting: str):
         k: int,
         restarts: int,
         seed: Optional[int],
-        backend: BackendSelection,
+        execution: Optional[ExecutionConfig],
     ) -> Clustering:
         signatures = [signature(p) for p in pages]
-        kmeans = KMeans(k, restarts=restarts, seed=seed, backend=backend)
-        if pages and resolve_backend(backend) == "numpy":
-            # Weight straight into the dense space — on this path no
-            # per-page SparseVector is ever materialized — and reuse it
-            # across calls over the same collection (k sweeps).
-            execution = backend if isinstance(backend, ExecutionConfig) else None
-            space = cached_weighted_space(signatures, weighting, execution)
-            return kmeans.fit_space(space).clustering
-        if weighting == "raw":
-            vectors = [raw_tf_vector(s) for s in signatures]
-        else:
-            vectors = tfidf_vectors(signatures)
-        return kmeans.fit(vectors).clustering
+        kmeans = KMeans(k, restarts=restarts, seed=seed, execution=execution)
+        # Weight straight into the dense space — no per-page
+        # SparseVector is ever materialized — and reuse it across calls
+        # over the same collection (k sweeps).
+        space = cached_weighted_space(signatures, weighting, execution)
+        return kmeans.fit_space(space).clustering
 
     return run
 
@@ -98,7 +91,7 @@ def _size_kmeans(
     k: int,
     restarts: int,
     seed: Optional[int],
-    backend: BackendSelection,
+    execution: Optional[ExecutionConfig],
 ) -> Clustering:
     values = [size_signature(p) for p in pages]
     return ScalarKMeans(k, restarts=restarts, seed=seed).fit(values).clustering
@@ -109,16 +102,14 @@ def _url_kmedoids(
     k: int,
     restarts: int,
     seed: Optional[int],
-    backend: BackendSelection,
+    execution: Optional[ExecutionConfig],
 ) -> Clustering:
     medoids = KMedoids(
-        k, distance=url_distance, restarts=restarts, seed=seed, backend=backend
+        k, distance=url_distance, restarts=restarts, seed=seed, execution=execution
     )
-    precomputed = None
-    if resolve_backend(backend) == "numpy":
-        # One call to the vectorized, memoized Levenshtein kernel
-        # replaces the n²/2 scalar url_distance invocations.
-        precomputed = pairwise_normalized_levenshtein([p.url for p in pages])
+    # One call to the vectorized, memoized Levenshtein kernel replaces
+    # the n²/2 scalar url_distance invocations.
+    precomputed = pairwise_normalized_levenshtein([p.url for p in pages])
     return medoids.fit(list(pages), precomputed=precomputed).clustering
 
 
@@ -127,7 +118,7 @@ def _random(
     k: int,
     restarts: int,
     seed: Optional[int],
-    backend: BackendSelection,
+    execution: Optional[ExecutionConfig],
 ) -> Clustering:
     return random_clustering(len(pages), k, seed=seed)
 

@@ -5,10 +5,10 @@ sparse vectors of (feature, weight) pairs, weighted with the paper's
 TFIDF variant ``w = log(tf+1) · log((n+1)/n_k)``, normalized, and
 compared with cosine similarity.
 
-:mod:`repro.vsm.matrix` adds the vectorized numpy compute backend
+:mod:`repro.vsm.matrix` adds the dense numpy kernels
 (:class:`~repro.vsm.matrix.VectorSpace` and the batched kernels); it
 is intentionally *not* imported here — the clusterers import it
-directly, and the import is numpy-gated.
+directly.
 """
 
 from repro.vsm.vector import SparseVector

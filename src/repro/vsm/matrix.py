@@ -1,11 +1,12 @@
-"""Dense matrix compute backend for the clustering hot paths.
+"""Dense matrix kernels for the clustering hot paths.
 
-The reference implementation of the paper works entirely over
-dict-backed :class:`~repro.vsm.vector.SparseVector`s — one
+The paper's formulation works over sparse vectors — one
 ``cosine_similarity`` call per (page, center) pair, one scalar
-Levenshtein per subtree pair. That is faithful to the paper but leaves
-the headline scalability claims (Figs. 5/7) bottlenecked on Python
-interpreter overhead rather than on the algorithms themselves.
+Levenshtein per subtree pair. Run that way, the headline scalability
+claims (Figs. 5/7) are bottlenecked on Python interpreter overhead
+rather than on the algorithms themselves. (The pure-python
+formulation survives as the test-only reference in ``tests/oracles/``,
+which the equivalence tests and the Figure-5 bench compare against.)
 
 This module interns the feature vocabulary of a vector collection into
 a dense ``numpy`` matrix (:class:`VectorSpace`) and provides the three
@@ -17,34 +18,15 @@ batched kernels the pipeline needs:
 - :func:`pairwise_normalized_levenshtein` — the Phase-2 path-distance
   term, with the DP inner loop vectorized over numpy rows plus an
   exact-match / length-band early exit and an interned-pair memo.
-
-numpy is an install-time dependency but the import is gated so the
-pure-python reference backend keeps working on a stripped environment:
-``HAVE_NUMPY`` is ``False`` and :func:`repro.config.resolve_backend`
-falls back to ``"python"``.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.vsm.vector import SparseVector
-
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - stripped environments only
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
-
-
-def _require_numpy() -> None:
-    if not HAVE_NUMPY:  # pragma: no cover - stripped environments only
-        raise RuntimeError(
-            "the numpy compute backend is unavailable; "
-            "select backend='python' (see repro.config.resolve_backend)"
-        )
 
 
 class VectorSpace:
@@ -67,7 +49,6 @@ class VectorSpace:
     @classmethod
     def build(cls, vectors: Sequence[SparseVector]) -> "VectorSpace":
         """Intern ``vectors`` into a dense (n × |vocabulary|) matrix."""
-        _require_numpy()
         vocabulary: dict[str, int] = {}
         for vector in vectors:
             for feature in vector:
@@ -117,7 +98,6 @@ def weighted_space(count_maps, weighting: str = "tfidf") -> "VectorSpace":
     scalar path to float rounding (``np.log`` vs ``math.log`` may
     differ in the last ulp).
     """
-    _require_numpy()
     vocabulary: dict[str, int] = {}
     rows: list[int] = []
     cols: list[int] = []
@@ -160,7 +140,6 @@ def tfidf_statistics(count_maps):
     so a later run can encode *new* pages into the stored space without
     refitting — see :func:`encode_tfidf`.
     """
-    _require_numpy()
     vocabulary: dict[str, int] = {}
     doc_freq: list[int] = []
     for counts in count_maps:
@@ -191,7 +170,6 @@ def encode_tfidf(count_maps, vocabulary: dict[str, int], idf):
     is what pulls drifted pages *away* from every stored centroid).
     Returns a dense ``(len(count_maps) × |vocabulary|)`` matrix.
     """
-    _require_numpy()
     matrix = np.zeros((len(count_maps), len(vocabulary)), dtype=np.float64)
     rows: list[int] = []
     cols: list[int] = []
@@ -221,7 +199,6 @@ def cosine_matrix(a, b, norms_a=None, norms_b=None):
     matching :func:`repro.vsm.similarity.cosine_similarity`; values are
     clipped into [-1, 1] against floating-point drift.
     """
-    _require_numpy()
     if norms_a is None:
         norms_a = np.linalg.norm(a, axis=1)
     if norms_b is None:
@@ -241,7 +218,6 @@ def group_sums(matrix, labels, k):
     is the cluster-size histogram. One ``np.add.at`` scatter replaces
     the per-member dict merging of :func:`repro.vsm.centroid.vector_sum`.
     """
-    _require_numpy()
     labels = np.asarray(labels)
     sums = np.zeros((k, matrix.shape[1]), dtype=np.float64)
     np.add.at(sums, labels, matrix)
@@ -313,7 +289,7 @@ def _normalized_distance(a: str, b: str) -> float:
     cached = _PAIR_MEMO.get(key)
     if cached is not None:
         return cached
-    if len_a * len_b < _SCALAR_DP_AREA or not HAVE_NUMPY:
+    if len_a * len_b < _SCALAR_DP_AREA:
         # Imported lazily: editdist lives in repro.cluster, whose
         # __init__ imports the clusterers, which import this module.
         from repro.cluster.editdist import levenshtein
@@ -344,7 +320,7 @@ def pairwise_normalized_levenshtein(
     ``a_strings`` is returned and only the upper triangle is computed.
     Equals :func:`repro.cluster.editdist.normalized_levenshtein` entry
     for entry — the kernels compute exact integer edit distances and
-    perform the same final division, so both backends agree bitwise.
+    perform the same final division, so the two agree bitwise.
 
     Cells are served from the interned-pair memo where possible; every
     cell the memo (and the equal/empty early exits) cannot answer is
@@ -354,7 +330,6 @@ def pairwise_normalized_levenshtein(
     Phase-2 cold path runs thousands of short-path comparisons per
     cluster, and the per-pair interpreter overhead used to dominate.
     """
-    _require_numpy()
     symmetric = b_strings is None
     if symmetric:
         b_strings = a_strings
@@ -385,9 +360,7 @@ def pairwise_normalized_levenshtein(
             from repro.cluster.editdist import batch_normalized_levenshtein
 
             distances = batch_normalized_levenshtein(
-                [key[0] for key in keys],
-                [key[1] for key in keys],
-                backend="numpy",
+                [key[0] for key in keys], [key[1] for key in keys]
             )
         for key, value in zip(keys, distances):
             _memo_store(key, value)
@@ -405,7 +378,6 @@ def clear_levenshtein_memo() -> None:
 
 
 __all__ = [
-    "HAVE_NUMPY",
     "VectorSpace",
     "weighted_space",
     "tfidf_statistics",

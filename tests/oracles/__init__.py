@@ -1,0 +1,24 @@
+"""Pure-python reference implementations of the numpy kernels.
+
+Production computes with numpy only. The readable loop formulations of
+the paper's algorithms live here, test-only, as the reference the
+equivalence tests and ``benchmarks/bench_fig05_time.py`` compare the
+kernels against:
+
+- :mod:`tests.oracles.kmeans` — Simple K-Means over sparse vectors;
+- :mod:`tests.oracles.kmedoids` — Voronoi-iteration k-medoids over
+  nested-list distance matrices;
+- :mod:`tests.oracles.hierarchical` — average-link agglomerative
+  clustering with sparse-vector sums;
+- :mod:`tests.oracles.treeedit` — the scalar-only Zhang–Shasha driver;
+- :mod:`tests.oracles.ranking` — sparse-vector content vectors and the
+  intra-set similarity of a common subtree set;
+- :mod:`tests.oracles.registry` — the seven clustering configurations
+  wired to the loop kernels above;
+- :mod:`tests.oracles.selection` — the live-DOM sibling vote of
+  QA-Pagelet selection.
+
+Restart-based oracles fan out through :func:`repro.runtime.run_restarts`
+exactly like production, and their batch workers are module-level so
+process pools can pickle them.
+"""

@@ -109,10 +109,7 @@ class TestFacadeVerbs:
         assert result.pagelets
 
     def test_run_end_to_end(self, site):
-        config = api.ThorConfig(
-            seed=7, execution=api.ExecutionConfig(backend="python")
-        )
-        result = api.run(site, config)
+        result = api.run(site, api.ThorConfig(seed=7))
         assert result.pagelets
         assert result.partitioned
 

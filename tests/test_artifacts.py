@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.artifacts import (
@@ -112,7 +113,6 @@ class TestStore:
         assert leftovers == []
 
     def test_array_round_trip_is_bitwise(self, tmp_path):
-        np = pytest.importorskip("numpy")
         store = ArtifactStore(tmp_path)
         matrix = np.array([[0.1, 0.2], [1.0 / 3.0, 7e-300]])
         norms = np.array([1.0, 0.999999999999])
@@ -346,7 +346,6 @@ class TestPersistentSpaceCache:
         clear_artifact_store_registry()
 
     def test_disk_hit_is_bitwise_identical(self, tmp_path):
-        np = pytest.importorskip("numpy")
         from repro.runtime import (
             artifact_store_for,
             cached_weighted_space,
@@ -369,7 +368,6 @@ class TestPersistentSpaceCache:
         assert store.stats()["hits"] >= 1
 
     def test_corrupt_space_artifact_falls_back_to_build(self, tmp_path):
-        np = pytest.importorskip("numpy")
         from repro.artifacts.keys import space_key as persistent_space_key
         from repro.runtime import (
             artifact_store_for,

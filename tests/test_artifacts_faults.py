@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import os
 
-import pytest
+import numpy as np
 
 from repro.artifacts import ArtifactStore, collect
 from repro.artifacts.gc import iter_entries
 from repro.resilience import FaultPlan, activate_fault_plan
-
-np = pytest.importorskip("numpy")
 
 KIND = "records"
 

@@ -1,18 +1,18 @@
-"""Cross-backend equivalence: numpy matrix kernels vs python reference.
+"""Equivalence: numpy matrix kernels vs the pure-python references.
 
-The python backend is the readable oracle; the numpy backend must
-reproduce it. Kernels (cosine, centroids, assignment, Levenshtein)
-must agree to 1e-9 or bit-for-bit; the seeded K-Means driver must
-produce *identical* labels under both backends. K-medoids is checked
-via invariants only: normalized edit distances are small rationals, so
-exact mathematical medoid ties are common and each backend breaks them
-by the last ulp of its own summation order (see
-``repro.cluster.kmedoids``).
+The references in ``tests/oracles/`` are the readable formulation; the
+production numpy kernels must reproduce them. Kernels (cosine,
+centroids, assignment, Levenshtein) must agree to 1e-9 or
+bit-for-bit; the seeded K-Means driver must produce *identical* labels
+under both. K-medoids is checked via invariants only: normalized edit
+distances are small rationals, so exact mathematical medoid ties are
+common and each implementation breaks them by the last ulp of its own
+summation order (see ``repro.cluster.kmedoids``).
 
 Random collections are generated from a seeded ``random.Random`` with
 continuous weights (hypothesis supplies only the seed): drawing raw
 floats would let hypothesis construct exact cosine ties, which neither
-backend promises to break the same way.
+implementation promises to break the same way.
 """
 
 from __future__ import annotations
@@ -20,16 +20,14 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-
-np = pytest.importorskip("numpy")
 
 from repro.cluster.editdist import normalized_levenshtein
 from repro.cluster.hierarchical import AverageLinkClusterer
 from repro.cluster.kmeans import KMeans
 from repro.cluster.kmedoids import KMedoids
-from repro.config import resolve_backend
 from repro.core.subtree_sets import (
     SubtreeCandidate,
     shape_distance,
@@ -47,6 +45,10 @@ from repro.vsm.matrix import (
 from repro.vsm.similarity import cosine_similarity
 from repro.vsm.vector import SparseVector
 from repro.vsm.weighting import raw_tf_vector, tfidf_vectors
+from tests.oracles import treeedit as oracle_treeedit
+from tests.oracles.hierarchical import OracleAverageLinkClusterer
+from tests.oracles.kmeans import OracleKMeans
+from tests.oracles.kmedoids import OracleKMedoids
 
 FEATURES = [f"f{i}" for i in range(8)]
 
@@ -115,7 +117,7 @@ class TestKernelAgreement:
         # driver — and their features never fall outside the interned
         # vocabulary. (Overlapping samples could produce two
         # mathematically identical centers, whose tied cosines neither
-        # backend promises to break the same way.)
+        # implementation promises to break the same way.)
         rng = random.Random(seed + 7)
         indices = list(range(n))
         rng.shuffle(indices)
@@ -201,8 +203,8 @@ class TestKMeansEquivalence:
         # those must agree label-for-label.
         vectors = random_vectors(seed, n, allow_zero=True)
         kwargs = dict(k=k, restarts=1, seed=seed, init=init)
-        py = KMeans(backend="python", **kwargs).fit(vectors)
-        npy = KMeans(backend="numpy", **kwargs).fit(vectors)
+        py = OracleKMeans(**kwargs).fit(vectors)
+        npy = KMeans(**kwargs).fit(vectors)
         assert npy.clustering.labels == py.clustering.labels
         assert math.isclose(
             npy.internal_similarity,
@@ -221,14 +223,14 @@ class TestKMeansEquivalence:
     @given(seeds, st.integers(4, 16), st.integers(1, 4), st.sampled_from(["random", "kmeans++"]))
     def test_restart_selection_same_partition(self, seed, n, k, init):
         # With restarts, two starts can converge to equal-cohesion
-        # optima (equal up to summation order); each backend may then
-        # keep a different copy. The kept partitions can only differ in
+        # optima (equal up to summation order); each implementation may
+        # then keep a different copy. The kept partitions can only differ in
         # relabeling and in where zero vectors land (they contribute no
         # cohesion anywhere) — quality always matches.
         vectors = random_vectors(seed, n, allow_zero=True)
         kwargs = dict(k=k, restarts=4, seed=seed, init=init)
-        py = KMeans(backend="python", **kwargs).fit(vectors)
-        npy = KMeans(backend="numpy", **kwargs).fit(vectors)
+        py = OracleKMeans(**kwargs).fit(vectors)
+        npy = KMeans(**kwargs).fit(vectors)
         nonzero = {i for i, v in enumerate(vectors) if not v.is_zero()}
         restrict = lambda partition: {
             frozenset(cluster & nonzero)
@@ -256,8 +258,8 @@ class TestKMedoidsEquivalence:
         kwargs = dict(
             k=k, distance=normalized_levenshtein, restarts=3, seed=seed
         )
-        py = KMedoids(backend="python", **kwargs).fit(urls)
-        npy = KMedoids(backend="numpy", **kwargs).fit(urls)
+        py = OracleKMedoids(**kwargs).fit(urls)
+        npy = KMedoids(**kwargs).fit(urls)
         for result in (py, npy):
             assert len(result.clustering.labels) == n
             assert len(result.medoid_indices) == min(k, n)
@@ -293,8 +295,8 @@ class TestHierarchicalEquivalence:
     @given(seeds, st.integers(3, 12), st.integers(1, 3))
     def test_same_partition(self, seed, n, k):
         vectors = random_vectors(seed, n)
-        py = AverageLinkClusterer(k=k, backend="python").fit(vectors)
-        npy = AverageLinkClusterer(k=k, backend="numpy").fit(vectors)
+        py = OracleAverageLinkClusterer(k=k).fit(vectors)
+        npy = AverageLinkClusterer(k=k).fit(vectors)
         as_partition = lambda result: {
             frozenset(result.clustering.members(c))
             for c in range(result.clustering.k)
@@ -360,8 +362,8 @@ class TestTreeEditEquivalence:
 
         rng = random.Random(seed)
         a, b = _random_tag_tree(rng), _random_tag_tree(rng)
-        py = tree_edit_distance(a, b, backend="python")
-        npy = tree_edit_distance(a, b, backend="numpy")
+        py = oracle_treeedit.tree_edit_distance(a, b)
+        npy = tree_edit_distance(a, b)
         assert npy == py
 
     def test_forced_vector_kernel_matches_scalar_bitwise(self, monkeypatch):
@@ -373,8 +375,8 @@ class TestTreeEditEquivalence:
         for seed in range(15):
             rng = random.Random(seed)
             a, b = _random_tag_tree(rng), _random_tag_tree(rng)
-            py = treeedit.tree_edit_distance(a, b, backend="python")
-            npy = treeedit.tree_edit_distance(a, b, backend="numpy")
+            py = oracle_treeedit.tree_edit_distance(a, b)
+            npy = treeedit.tree_edit_distance(a, b)
             assert npy == py
 
     def test_custom_costs_match(self, monkeypatch):
@@ -388,17 +390,17 @@ class TestTreeEditEquivalence:
             dict(insert_cost=2.0, delete_cost=1.5),
         ]
         for kwargs in variants:
-            py = treeedit.tree_edit_distance(a, b, backend="python", **kwargs)
-            npy = treeedit.tree_edit_distance(a, b, backend="numpy", **kwargs)
+            py = oracle_treeedit.tree_edit_distance(a, b, **kwargs)
+            npy = treeedit.tree_edit_distance(a, b, **kwargs)
             assert npy == py
 
-    def test_normalized_passes_backend_through(self):
+    def test_normalized_matches_scalar(self):
         from repro.cluster.treeedit import normalized_tree_edit_distance
 
         rng = random.Random(3)
         a, b = _random_tag_tree(rng), _random_tag_tree(rng)
-        py = normalized_tree_edit_distance(a, b, backend="python")
-        npy = normalized_tree_edit_distance(a, b, backend="numpy")
+        py = oracle_treeedit.normalized_tree_edit_distance(a, b)
+        npy = normalized_tree_edit_distance(a, b)
         assert npy == py
         assert 0.0 <= npy <= 1.0
 
@@ -408,19 +410,23 @@ class TestParallelEquivalence:
     loop: per-restart seed streams make each restart a pure function of
     (data, restart seed), so the execution plan cannot change labels."""
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_kmeans_parallel_matches_serial(self, backend):
+    @pytest.mark.parametrize(
+        "kmeans", [OracleKMeans, KMeans], ids=["python", "numpy"]
+    )
+    def test_kmeans_parallel_matches_serial(self, kmeans):
         for seed in (0, 7):
             vectors = random_vectors(seed, 14, allow_zero=True)
-            kwargs = dict(k=3, restarts=6, seed=seed, backend=backend)
-            serial = KMeans(n_jobs=1, **kwargs).fit(vectors)
-            parallel = KMeans(n_jobs=2, **kwargs).fit(vectors)
+            kwargs = dict(k=3, restarts=6, seed=seed)
+            serial = kmeans(n_jobs=1, **kwargs).fit(vectors)
+            parallel = kmeans(n_jobs=2, **kwargs).fit(vectors)
             assert parallel.clustering.labels == serial.clustering.labels
             assert parallel.internal_similarity == serial.internal_similarity
             assert parallel.iterations == serial.iterations
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_kmedoids_parallel_matches_serial(self, backend):
+    @pytest.mark.parametrize(
+        "kmedoids", [OracleKMedoids, KMedoids], ids=["python", "numpy"]
+    )
+    def test_kmedoids_parallel_matches_serial(self, kmedoids):
         rng = random.Random(5)
         urls = [
             "/list?p=" + "".join(rng.choices("abcd", k=rng.randint(1, 6)))
@@ -431,10 +437,9 @@ class TestParallelEquivalence:
             distance=normalized_levenshtein,
             restarts=6,
             seed=5,
-            backend=backend,
         )
-        serial = KMedoids(n_jobs=1, **kwargs).fit(urls)
-        parallel = KMedoids(n_jobs=3, **kwargs).fit(urls)
+        serial = kmedoids(n_jobs=1, **kwargs).fit(urls)
+        parallel = kmedoids(n_jobs=3, **kwargs).fit(urls)
         assert parallel.clustering.labels == serial.clustering.labels
         assert parallel.medoid_indices == serial.medoid_indices
         assert parallel.total_distance == serial.total_distance
@@ -465,17 +470,3 @@ class TestParallelEquivalence:
 
 def _echo_worker(payload, seeds):
     return list(seeds)
-
-
-class TestBackendResolution:
-    def test_explicit_backends(self):
-        assert resolve_backend("python") == "python"
-        assert resolve_backend("numpy") == "numpy"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(Exception):
-            resolve_backend("fortran")
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        assert resolve_backend(None) == "python"

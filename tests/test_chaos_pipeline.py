@@ -32,7 +32,6 @@ from repro.errors import ExtractionError, HtmlParseError, ResumeError
 from repro.io.export import result_digest
 from repro.resilience import FaultPlan
 from repro.resilience.quarantine import INJECTED, PARSE_ERROR
-from repro.vsm.matrix import HAVE_NUMPY
 
 ALL_DOMAINS = sorted(DOMAINS)  # all seven deep-web genres
 
@@ -299,7 +298,6 @@ class _CountingIdentifier:
         return self._inner.identify(pages)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="model reuse needs numpy")
 class TestIncrementalChaos:
     """Drift edge cases (ISSUE: incremental re-extraction): an empty
     delta must do zero Phase-2 work, stored quarantines must replay

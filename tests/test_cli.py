@@ -36,25 +36,10 @@ class TestParser:
         assert args.k == 3
         assert args.top_m == 1
 
-    def test_backend_flag(self):
-        args = build_parser().parse_args(["demo", "--backend", "python"])
-        assert args.backend == "python"
-        assert build_parser().parse_args(["extract", "--pages", "p",
-                                          "--backend", "numpy"]).backend == "numpy"
-
     def test_backend_rejects_unknown(self):
+        # numpy is the only compute path: --backend is no option at all.
         with pytest.raises(SystemExit):
             build_parser().parse_args(["demo", "--backend", "fortran"])
-
-    def test_backend_threaded_into_config(self):
-        from repro.cli import _thor_config
-
-        args = build_parser().parse_args(["demo", "--backend", "python"])
-        config = _thor_config(args)
-        assert config.execution.backend == "python"
-        default = _thor_config(build_parser().parse_args(["demo"]))
-        assert default.execution.backend is None
-        assert default.execution.n_jobs == 1
 
     def test_stage_timeout_sets_every_stage_or_one(self):
         from repro.cli import _thor_config
@@ -79,12 +64,11 @@ class TestParser:
     def test_jobs_threaded_into_config(self):
         from repro.cli import _thor_config
 
-        args = build_parser().parse_args(
-            ["extract", "--pages", "p", "--jobs", "2", "--backend", "numpy"]
-        )
+        args = build_parser().parse_args(["extract", "--pages", "p", "--jobs", "2"])
         config = _thor_config(args)
         assert config.execution.n_jobs == 2
-        assert config.execution.backend == "numpy"
+        default = _thor_config(build_parser().parse_args(["demo"]))
+        assert default.execution.n_jobs == 1
 
     def test_probe_execution_and_report_flags(self):
         # Stage 1 is concurrency-aware: --jobs fans probes out, --rate
@@ -158,17 +142,6 @@ class TestCommands:
                      "--show", "1"]) == 0
         output = capsys.readouterr().out
         assert "pagelet=" in output
-
-    def test_demo_backend_end_to_end(self, capsys):
-        # Both backends drive the full pipeline from the CLI.
-        assert main(["demo", "--domain", "jobs", "--seed", "5",
-                     "--show", "1", "--backend", "python"]) == 0
-        python_out = capsys.readouterr().out
-        assert main(["demo", "--domain", "jobs", "--seed", "5",
-                     "--show", "1", "--backend", "numpy"]) == 0
-        numpy_out = capsys.readouterr().out
-        assert "pagelet=" in python_out
-        assert "pagelet=" in numpy_out
 
     def test_search_command(self, capsys):
         assert main(

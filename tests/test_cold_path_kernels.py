@@ -100,20 +100,17 @@ class TestBatchedEditdistKernel:
     @settings(max_examples=200, deadline=None)
     @given(pairs=st.lists(st.tuples(strings, strings), max_size=24))
     def test_editdist_backends_match_oracle_bitwise(self, pairs):
+        # The scalar normalized_levenshtein is the oracle.
         a_strings = [a for a, _ in pairs]
         b_strings = [b for _, b in pairs]
         oracle = [
             normalized_levenshtein(a, b) for a, b in zip(a_strings, b_strings)
         ]
-        for backend in ("python", "numpy"):
-            batched = batch_normalized_levenshtein(
-                a_strings, b_strings, backend=backend
-            )
-            assert batched == oracle
+        assert batch_normalized_levenshtein(a_strings, b_strings) == oracle
 
     def test_editdist_empty_and_equal_fast_paths(self):
         out = batch_normalized_levenshtein(
-            ["", "", "abc", "same"], ["", "xy", "", "same"], backend="numpy"
+            ["", "", "abc", "same"], ["", "xy", "", "same"]
         )
         assert out == [0.0, 1.0, 1.0, 0.0]
 
@@ -127,9 +124,7 @@ class TestBatchedEditdistKernel:
         assert paths
         a_strings = paths
         b_strings = list(reversed(paths))
-        assert batch_normalized_levenshtein(
-            a_strings, b_strings, backend="numpy"
-        ) == [
+        assert batch_normalized_levenshtein(a_strings, b_strings) == [
             normalized_levenshtein(a, b)
             for a, b in zip(a_strings, b_strings)
         ]
@@ -257,7 +252,7 @@ class TestQuadMatrixMemo:
         find_common_subtree_sets(
             records,
             seed=0,
-            backend=ExecutionConfig(distance_memo_entries=7),
+            execution=ExecutionConfig(distance_memo_entries=7),
         )
         assert quad_matrix_memo_stats()["limit"] == 7
         assert ExecutionConfig(distance_memo_entries=0).distance_memo_entries == 0

@@ -54,8 +54,8 @@ class TestIdentifyOnRealClusters:
     def test_ranked_sets_exposed_sorted(self, sample):
         pages = cluster_of(sample, "multi")
         result = PageletIdentifier(SubtreeConfig(), seed=13).identify(pages)
-        # Ordering is by backend-quantized similarity: ulp-level ties
-        # keep discovery order, so compare at the sort's precision.
+        # Ordering is by quantized similarity: ulp-level ties keep
+        # discovery order, so compare at the sort's precision.
         from repro.core.subtree_ranking import _SORT_PRECISION
 
         sims = [round(r.similarity, _SORT_PRECISION) for r in result.ranked_sets]

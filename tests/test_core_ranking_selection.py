@@ -4,23 +4,21 @@ from __future__ import annotations
 
 import math
 
-import pytest
-
 from repro.config import SubtreeConfig
 from repro.core.page import Page
-from repro.core.single_page import candidate_subtrees_for_cluster
+from repro.core.single_page import candidate_records_for_cluster
 from repro.core.subtree_ranking import (
     dynamic_sets,
     intra_set_similarity,
     rank_subtree_sets,
-    set_content_vectors,
 )
 from repro.core.subtree_sets import find_common_subtree_sets
 from repro.core.selection import score_sets
+from tests.oracles import ranking as oracle_ranking
 
 
 def build_sets(pages, **kwargs):
-    candidates = candidate_subtrees_for_cluster(pages)
+    candidates = candidate_records_for_cluster(pages)
     return find_common_subtree_sets(candidates, seed=0, **kwargs)
 
 
@@ -76,7 +74,7 @@ class TestIntraSetSimilarity:
 
         sets = build_sets(PAGES)
         for subtree_set in sets[:5]:
-            vectors = set_content_vectors(subtree_set)
+            vectors = oracle_ranking.set_content_vectors(subtree_set)
             n = len(vectors)
             if n <= 1:
                 continue
@@ -107,19 +105,17 @@ class TestRankSubtreeSets:
         assert sims == sorted(sims)
 
     def test_order_identical_across_backends(self):
-        # Backends score similarities to ulp-level differences; the
-        # quantized sort key must keep the ranked order (and hence
-        # everything downstream) backend-independent.
-        pytest.importorskip("numpy")
+        # The sparse-vector reference scores similarities to ulp-level
+        # differences from the matrix kernel; the quantized sort key
+        # must keep the ranked order (and hence everything downstream)
+        # identical under both.
         sets = build_sets(PAGES)
-        by_backend = {
-            backend: [
-                id(r.subtree_set)
-                for r in rank_subtree_sets(sets, n_pages=3, backend=backend)
-            ]
-            for backend in ("python", "numpy")
-        }
-        assert by_backend["python"] == by_backend["numpy"]
+        reference = [
+            id(r.subtree_set)
+            for r in oracle_ranking.rank_subtree_sets(sets, n_pages=3)
+        ]
+        ranked = [id(r.subtree_set) for r in rank_subtree_sets(sets, n_pages=3)]
+        assert ranked == reference
 
     def test_static_flagging(self):
         ranked = rank_subtree_sets(

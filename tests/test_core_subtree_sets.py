@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.page import Page
-from repro.core.single_page import candidate_subtrees
+from repro.core.single_page import candidate_record, candidate_subtrees
 from repro.core.subtree_sets import (
     CommonSubtreeSet,
     SubtreeCandidate,
@@ -93,10 +93,15 @@ def make_pages(texts_per_page):
     return pages
 
 
+def records(page):
+    """One page's candidate records — what cross-page analysis groups."""
+    return [candidate_record(node) for node in candidate_subtrees(page)]
+
+
 class TestFindCommonSubtreeSets:
     def test_groups_matching_regions(self):
         pages = make_pages([["a", "b"], ["c", "d"], ["e", "f"]])
-        candidates = [candidate_subtrees(p) for p in pages]
+        candidates = [records(p) for p in pages]
         sets = find_common_subtree_sets(candidates, seed=0)
         # The table set must exist with full support.
         table_sets = [
@@ -106,14 +111,14 @@ class TestFindCommonSubtreeSets:
 
     def test_at_most_one_member_per_page(self):
         pages = make_pages([["a", "b"], ["c", "d"]])
-        candidates = [candidate_subtrees(p) for p in pages]
+        candidates = [records(p) for p in pages]
         for subtree_set in find_common_subtree_sets(candidates, seed=0):
             pages_seen = list(subtree_set.members)
             assert len(pages_seen) == len(set(pages_seen))
 
     def test_every_set_contains_prototype(self):
         pages = make_pages([["a"], ["b"]])
-        candidates = [candidate_subtrees(p) for p in pages]
+        candidates = [records(p) for p in pages]
         for subtree_set in find_common_subtree_sets(
             candidates, prototype_index=0, seed=0
         ):
@@ -122,7 +127,7 @@ class TestFindCommonSubtreeSets:
 
     def test_max_distance_excludes_mismatches(self):
         pages = make_pages([["a", "b"], ["c", "d"]])
-        candidates = [candidate_subtrees(p) for p in pages]
+        candidates = [records(p) for p in pages]
         strict = find_common_subtree_sets(
             candidates, max_assign_distance=0.0, prototype_index=0, seed=0
         )
@@ -142,19 +147,19 @@ class TestFindCommonSubtreeSets:
 
     def test_empty_prototype_page_raises(self):
         pages = make_pages([["a"]])
-        candidates = [candidate_subtrees(pages[0]), []]
+        candidates = [records(pages[0]), []]
         with pytest.raises(ExtractionError):
             find_common_subtree_sets(candidates, prototype_index=1)
 
     def test_prototype_defaults_to_non_empty_page(self):
         pages = make_pages([["a"]])
-        candidates = [[], candidate_subtrees(pages[0])]
+        candidates = [[], records(pages[0])]
         sets = find_common_subtree_sets(candidates, seed=0)
         assert all(s.prototype.page_index == 1 for s in sets)
 
     def test_deterministic_with_seed(self):
         pages = make_pages([["a", "b"], ["c"], ["d", "e"]])
-        candidates = [candidate_subtrees(p) for p in pages]
+        candidates = [records(p) for p in pages]
         a = find_common_subtree_sets(candidates, seed=4)
         b = find_common_subtree_sets(candidates, seed=4)
         assert [s.prototype.shape.path for s in a] == [
@@ -163,7 +168,7 @@ class TestFindCommonSubtreeSets:
 
     def test_candidates_ordering(self):
         pages = make_pages([["a"], ["b"]])
-        candidates = [candidate_subtrees(p) for p in pages]
+        candidates = [records(p) for p in pages]
         sets = find_common_subtree_sets(candidates, prototype_index=0, seed=0)
         for subtree_set in sets:
             indices = [c.page_index for c in subtree_set.candidates()]

@@ -216,20 +216,29 @@ class TestDiscoveryBridge:
             assert discovered.found_on.startswith("http://")
             assert discovered.depth >= 0
 
-    def test_matches_breadth_first_crawler(self):
-        # The frontier service and the simple BFS crawler must agree on
-        # what the corpus *is* — same fetch set, same unique forms.
-        from repro.discovery.crawler import BreadthFirstCrawler
+    def test_matches_reachable_set(self):
+        # Under an ample budget the crawl fetches exactly the URLs
+        # reachable from the seed and finds every unique form on them.
+        from repro.discovery.crawler import _extract_links
+        from repro.html.forms import find_search_forms
+        from repro.html.parser import parse
 
         source = web(n_pages=12)
-        bfs = BreadthFirstCrawler(source.fetch, max_pages=500).crawl(
-            [source.seed_url]
-        )
+        reachable = {source.seed_url}
+        actions = set()
+        pending = [source.seed_url]
+        while pending:
+            url = pending.pop()
+            tree = parse(source.fetch(url), url=url)
+            actions.update(f.action for f in find_search_forms(tree) if f.action)
+            for link in _extract_links(tree.root, base_url=url):
+                if link not in reachable:
+                    reachable.add(link)
+                    pending.append(link)
         report = run_crawl(source, config=config(max_pages=500))
-        assert {p.url for p in report.pages} == set(bfs.visited)
-        assert sorted(d.form.action for d in report.forms) == sorted(
-            bfs.unique_actions
-        )
+        assert report.exhausted
+        assert {p.url for p in report.pages} == reachable
+        assert sorted(d.form.action for d in report.forms) == sorted(actions)
 
     def test_exclusions_keep_urls_out(self):
         everything = run_crawl(web(), config=config(max_pages=100))

@@ -1,18 +1,21 @@
 """Dedicated tests for ``repro.discovery`` (ISSUE-8 satellite).
 
 Link-extraction units (relative resolution against the page base,
-fragment/pseudo-link skipping), :class:`BreadthFirstCrawler` behavior
-over hand-built and simulated sites, :class:`DiscoveredForm`
-provenance, and a hypothesis property that same-seed simulated webs
-produce byte-identical crawl orders.
+fragment/pseudo-link skipping), the breadth-first crawl of the
+frontier service (:func:`repro.frontier.service.run_crawl`) over
+hand-built and simulated sites, :class:`DiscoveredForm` provenance,
+and a hypothesis property that same-seed simulated webs produce
+byte-identical crawl orders.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.discovery.crawler import BreadthFirstCrawler, _extract_links
+from repro.config import CrawlConfig, ThorConfig
+from repro.discovery.crawler import _extract_links
 from repro.discovery.web import SimulatedWeb
+from repro.frontier.service import run_crawl
 from repro.html.parser import parse
 
 
@@ -74,37 +77,44 @@ class TinySite:
         return self.pages[url]
 
 
+def crawl(fetch, seeds=None, max_pages=10):
+    """One storeless frontier crawl under a ``max_pages`` budget."""
+    return run_crawl(
+        fetch, seeds, config=ThorConfig(seed=0, crawl=CrawlConfig(max_pages=max_pages))
+    )
+
+
+def visited(report):
+    """Fetched URLs in fetch order — the crawl's deterministic trace."""
+    return tuple(page.url for page in report.pages)
+
+
 class TestBreadthFirstCrawler:
     def test_follows_relative_links(self):
-        report = BreadthFirstCrawler(TinySite().fetch, max_pages=10).crawl(
-            ["http://tiny.org/"]
-        )
-        assert report.visited == (
+        report = crawl(TinySite().fetch, ["http://tiny.org/"])
+        assert visited(report) == (
             "http://tiny.org/",
             "http://tiny.org/a",
             "http://tiny.org/sub/b",
             "http://tiny.org/sub/c",
         )
-        assert report.frontier_exhausted
+        assert report.exhausted
         assert report.pages_failed == 0
 
     def test_form_provenance(self):
-        report = BreadthFirstCrawler(TinySite().fetch, max_pages=10).crawl(
-            ["http://tiny.org/"]
-        )
+        report = crawl(TinySite().fetch, ["http://tiny.org/"])
         assert len(report.forms) == 1
         discovered = report.forms[0]
         assert discovered.form.action == "/search"
         assert discovered.found_on == "http://tiny.org/a"
         assert discovered.depth == 1
-        assert report.unique_actions == ["/search"]
 
     def test_page_budget_honored(self):
-        report = BreadthFirstCrawler(TinySite().fetch, max_pages=2).crawl(
-            ["http://tiny.org/"]
-        )
+        # The budget counts attempted URLs (fetched or failed).
+        report = crawl(TinySite().fetch, ["http://tiny.org/"], max_pages=2)
         assert report.pages_fetched == 2
-        assert not report.frontier_exhausted
+        assert report.attempted == 2
+        assert not report.exhausted
 
     def test_dead_links_counted_not_fatal(self):
         site = TinySite()
@@ -114,20 +124,16 @@ class TestBreadthFirstCrawler:
                 raise KeyError(url)
             return site.fetch(url)
 
-        report = BreadthFirstCrawler(fetch, max_pages=10).crawl(
-            ["http://tiny.org/"]
-        )
+        report = crawl(fetch, ["http://tiny.org/"])
         assert report.pages_failed == 1
-        assert "http://tiny.org/a" not in report.visited
+        assert "http://tiny.org/a" not in visited(report)
         assert report.pages_fetched == 3
 
     def test_simulated_web_discovers_all_portals(self):
         source = SimulatedWeb(n_pages=30, n_portals=4, seed=9)
-        report = BreadthFirstCrawler(source.fetch, max_pages=500).crawl(
-            [source.seed_url]
-        )
+        report = crawl(source, max_pages=500)
         assert len(report.forms) == 4
-        assert len(set(report.unique_actions)) == 4
+        assert len({d.form.action for d in report.forms}) == 4
 
 
 class TestSeedDeterminism:
@@ -136,10 +142,8 @@ class TestSeedDeterminism:
     def test_same_seed_same_crawl_order(self, seed, n_pages):
         def trace():
             source = SimulatedWeb(n_pages=n_pages, n_portals=2, seed=seed)
-            report = BreadthFirstCrawler(source.fetch, max_pages=500).crawl(
-                [source.seed_url]
-            )
-            return report.visited, tuple(report.unique_actions)
+            report = crawl(source, max_pages=500)
+            return visited(report), tuple(d.form.action for d in report.forms)
 
         assert trace() == trace()
 

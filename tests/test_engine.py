@@ -8,7 +8,6 @@ from repro.config import ExecutionConfig, ProbeConfig, ThorConfig
 from repro.deepweb import make_site
 from repro.engine import DeepWebSearchEngine, InvertedIndex, ObjectDocument
 from repro.errors import ThorError
-from repro.vsm.matrix import HAVE_NUMPY
 
 
 def doc(doc_id, text, site="s.example.com", query="q"):
@@ -187,7 +186,6 @@ class TestRegisterIncrementalCounters:
             ),
         )
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="model reuse needs numpy")
     def test_re_registration_replays_from_the_model(self, tmp_path):
         eng = DeepWebSearchEngine(self._config(tmp_path))
         site = lambda: make_site("jobs", seed=7, records=60)  # noqa: E731

@@ -1,17 +1,26 @@
-"""Tests for search-form detection and the discovery crawler."""
+"""Tests for search-form detection and the discovery crawl."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.discovery import BreadthFirstCrawler, SimulatedWeb
+from repro.config import CrawlConfig, ThorConfig
+from repro.discovery import SimulatedWeb
 from repro.errors import SiteGenerationError
+from repro.frontier.service import run_crawl
 from repro.html import parse
 from repro.html.forms import FormField, SearchForm, find_search_forms
 
 
 def forms_in(html):
     return find_search_forms(parse(html))
+
+
+def crawl(fetch, seeds=None, max_pages=300):
+    """One storeless frontier crawl under a ``max_pages`` budget."""
+    return run_crawl(
+        fetch, seeds, config=ThorConfig(seed=0, crawl=CrawlConfig(max_pages=max_pages))
+    )
 
 
 class TestFindSearchForms:
@@ -147,31 +156,26 @@ class TestBreadthFirstCrawler:
     def web(self):
         return SimulatedWeb(n_pages=60, n_portals=6, seed=1)
 
-    def test_discovers_all_reachable_portals(self, web):
-        report = BreadthFirstCrawler(web.fetch, max_pages=300).crawl(
-            [web.seed_url]
-        )
+    @pytest.fixture(scope="class")
+    def report(self, web):
+        return crawl(web)
+
+    def test_discovers_all_reachable_portals(self, web, report):
         assert len(report.forms) >= 4  # most portals reachable
         for discovered in report.forms:
             assert web.site_for_form_action(discovered.form.action)
 
-    def test_forms_unique_by_action(self, web):
-        report = BreadthFirstCrawler(web.fetch, max_pages=300).crawl(
-            [web.seed_url]
-        )
-        actions = report.unique_actions
+    def test_forms_unique_by_action(self, report):
+        actions = [d.form.action for d in report.forms]
         assert len(actions) == len(set(actions))
 
     def test_budget_respected(self, web):
-        report = BreadthFirstCrawler(web.fetch, max_pages=5).crawl(
-            [web.seed_url]
-        )
+        # The budget counts attempted URLs (fetched or failed).
+        report = crawl(web, max_pages=5)
+        assert report.attempted <= 5
         assert report.pages_fetched <= 5
 
-    def test_depths_nondecreasing(self, web):
-        report = BreadthFirstCrawler(web.fetch, max_pages=300).crawl(
-            [web.seed_url]
-        )
+    def test_depths_nondecreasing(self, report):
         depths = [d.depth for d in report.forms]
         assert depths == sorted(depths)
 
@@ -182,7 +186,7 @@ class TestBreadthFirstCrawler:
             return ('<a href="http://x/bad"></a>'
                     '<form action="/s"><input name="q"></form>')
 
-        report = BreadthFirstCrawler(flaky, max_pages=10).crawl(["http://x/ok"])
+        report = crawl(flaky, ["http://x/ok"], max_pages=10)
         assert report.pages_failed == 1
         assert report.pages_fetched == 1
         assert len(report.forms) == 1
@@ -191,17 +195,17 @@ class TestBreadthFirstCrawler:
         def fetch(url):
             return '<a href="mailto:x@y"></a><a href="javascript:void(0)"></a>'
 
-        report = BreadthFirstCrawler(fetch, max_pages=10).crawl(["http://a/"])
+        report = crawl(fetch, ["http://a/"], max_pages=10)
         assert report.pages_fetched == 1
 
     def test_invalid_budget(self):
         with pytest.raises(ValueError):
-            BreadthFirstCrawler(lambda u: "", max_pages=0)
+            CrawlConfig(max_pages=0)
 
     def test_cycle_termination(self):
         def fetch(url):
             return f'<a href="http://a/1"></a><a href="http://a/2"></a>'
 
-        report = BreadthFirstCrawler(fetch, max_pages=50).crawl(["http://a/1"])
-        assert report.frontier_exhausted
+        report = crawl(fetch, ["http://a/1"], max_pages=50)
+        assert report.exhausted
         assert report.pages_fetched <= 3

@@ -51,13 +51,8 @@ from repro.incremental import (
     site_identity,
 )
 from repro.io.export import result_digest
-from repro.vsm.matrix import HAVE_NUMPY
 
 ALL_DOMAINS = sorted(DOMAINS)
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="model persistence requires the numpy backend"
-)
 
 
 def _config(cache_dir: str, jobs: int = 1, **overrides) -> ThorConfig:
@@ -114,7 +109,6 @@ def _cold_drifted_digest(domain: str, mutate) -> str:
     return _COLD_DRIFTED[key][1]
 
 
-@needs_numpy
 class TestIncrementalInvariants:
     @settings(max_examples=10, deadline=None)
     @given(
@@ -184,7 +178,6 @@ class TestIncrementalInvariants:
         assert thor.report().incremental.get("refit", 0) == 0
 
 
-@needs_numpy
 class TestDriftModes:
     def test_mode_refit_never_touches_the_model(self):
         domain = "music"
@@ -237,7 +230,6 @@ class TestDriftModes:
             IncrementalConfig(mode="sometimes")
 
 
-@needs_numpy
 class TestModelBundle:
     def test_run_persists_a_loadable_model(self, tmp_path):
         config = _config(str(tmp_path))

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-np = pytest.importorskip("numpy")
-
-from repro.config import ExecutionConfig
 from repro.runtime import (
     cached_weighted_space,
     clear_space_cache,
@@ -53,14 +51,6 @@ class TestSpaceCache:
         assert np.array_equal(cached.matrix, fresh.matrix)
         assert cached.vocabulary == fresh.vocabulary
 
-    def test_cache_off_policy_bypasses(self):
-        off = ExecutionConfig(cache="off")
-        first = cached_weighted_space(MAPS, execution=off)
-        second = cached_weighted_space(MAPS, execution=off)
-        assert second is not first
-        stats = space_cache_stats()
-        assert stats["hits"] == 0 and stats["size"] == 0
-
     def test_lru_eviction_bounds_size(self):
         from repro import runtime
 
@@ -76,7 +66,7 @@ class TestSpaceCache:
         pages = [site.query(w) for w in ("alpha", "beta", "gamma", "delta")]
         config = get_configuration("ttag")
         for k in (2, 3, 4):
-            config(pages, k, restarts=1, seed=0, backend="numpy")
+            config(pages, k, restarts=1, seed=0)
         stats = space_cache_stats()
         # One interning for the collection, hits for every further k.
         assert stats["misses"] == 1

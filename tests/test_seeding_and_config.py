@@ -99,25 +99,19 @@ class TestConfigDataclasses:
 class TestExecutionConfig:
     def test_defaults_are_serial_cached(self):
         execution = ExecutionConfig()
-        assert execution.backend is None
         assert execution.n_jobs == 1
-        assert execution.cache == "on"
+        assert execution.artifact_cache == "on"
 
     def test_rejects_negative_n_jobs(self):
         with pytest.raises(ValueError):
             ExecutionConfig(n_jobs=-1)
-
-    def test_rejects_unknown_cache_policy(self):
-        with pytest.raises(ValueError):
-            ExecutionConfig(cache="sometimes")
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             ExecutionConfig().n_jobs = 4
 
     def test_thor_config_carries_execution(self):
-        config = ThorConfig(execution=ExecutionConfig(backend="python", n_jobs=2))
-        assert config.execution.backend == "python"
+        config = ThorConfig(execution=ExecutionConfig(n_jobs=2))
         assert config.execution.n_jobs == 2
 
 
@@ -130,7 +124,6 @@ class TestResolveNJobs:
 
     def test_default_is_serial(self):
         assert resolve_n_jobs() == 1
-        assert resolve_n_jobs("numpy") == 1
 
     def test_zero_means_all_cores(self):
         assert resolve_n_jobs(n_jobs=0) >= 1
@@ -141,9 +134,10 @@ class TestResolveNJobs:
 
 
 class TestRemovedBackendField:
-    """The per-stage ``backend`` fields are gone from the stage
-    configs: passing one fails at construction (the backend lives on
-    ``ExecutionConfig``)."""
+    """numpy is the only compute path: no config object, CLI flag or
+    environment variable selects a backend, and the in-process space
+    cache has no off switch. Passing a removed field fails at
+    construction."""
 
     def test_clustering_backend_raises(self):
         with pytest.raises(TypeError, match="backend"):
@@ -152,6 +146,17 @@ class TestRemovedBackendField:
     def test_subtree_backend_raises(self):
         with pytest.raises(TypeError, match="backend"):
             SubtreeConfig(backend="python")
+
+    def test_execution_backend_and_cache_raise(self):
+        from repro.cli import build_parser
+
+        with pytest.raises(TypeError, match="backend"):
+            ExecutionConfig(backend="numpy")
+        with pytest.raises(TypeError, match="cache"):
+            ExecutionConfig(cache="off")
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["run", "--backend", "numpy"])
+        assert excinfo.value.code == 2
 
     def test_config_error_is_thor_error(self):
         from repro.errors import ThorError
