@@ -9,8 +9,13 @@ the pipeline's expensive intermediates across processes:
 - page clustering signatures (tag/term counts + max fanout),
 - Phase-2 per-page candidate-subtree records (the ⟨path, fanout,
   depth, node-count⟩ quadruples plus subtree term counts),
-- interned :class:`~repro.vsm.matrix.VectorSpace` matrices (backing
-  the in-memory LRU in :mod:`repro.runtime`).
+- fitted site models for incremental re-extraction
+  (:mod:`repro.incremental`).
+
+Interned :class:`~repro.vsm.matrix.VectorSpace` matrices are not
+stored: rebuilding one costs less than publishing it and reading it
+back. A ``spaces/`` directory left by an older version is never read;
+``repro artifacts-gc`` evicts it like any other kind.
 
 Everything is keyed by SHA-256 of the source content plus derivation
 version tags (:mod:`repro.artifacts.keys`), so a hit is always exactly
@@ -31,7 +36,6 @@ from repro.artifacts.keys import (
     page_signature_key,
     page_tree_key,
     sha256_hex,
-    space_key,
 )
 from repro.artifacts.pages import (
     cached_signature,
@@ -50,7 +54,6 @@ from repro.artifacts.store import (
     KIND_MODELS,
     KIND_RECORDS,
     KIND_SIGNATURES,
-    KIND_SPACES,
     KIND_TREES,
     ArtifactStore,
     load_persistent_stats,
@@ -63,7 +66,6 @@ __all__ = [
     "KIND_MODELS",
     "KIND_RECORDS",
     "KIND_SIGNATURES",
-    "KIND_SPACES",
     "KIND_TREES",
     "MODEL_VERSION",
     "artifact_report",
@@ -81,7 +83,6 @@ __all__ = [
     "put_signature",
     "put_tree",
     "sha256_hex",
-    "space_key",
     "store_usage",
     "tree_to_payload",
 ]

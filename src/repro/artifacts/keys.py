@@ -11,13 +11,14 @@ simply stop being referenced and age out via GC.
 Key layout: ``sha256(content) + ':' + sha256(parameter-tag)`` where the
 parameter tag folds in the version constants and any derivation
 parameters (e.g. ``require_branching`` for candidate records).
+
+Vector spaces have no key: they are rebuilt, never stored, and the
+in-process cache of :mod:`repro.runtime` keys them by content itself.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-from typing import Mapping, Sequence
 
 #: Bump when :mod:`repro.html.parser` output changes for the same HTML.
 PARSER_VERSION = 1
@@ -29,10 +30,6 @@ RECORD_VERSION = 1
 #: Bump when the page-signature layout changes (tag counts, term
 #: counts, max fanout — :func:`repro.artifacts.store.page_signature`).
 SIGNATURE_VERSION = 1
-
-#: Bump when the serialized :class:`~repro.vsm.matrix.VectorSpace`
-#: layout changes.
-SPACE_VERSION = 1
 
 #: Bump when the term-extraction pipeline (tokenize → stem) changes.
 EXTRACTOR_VERSION = 1
@@ -90,34 +87,15 @@ def model_key(site: str, config_fingerprint: str) -> str:
     )
 
 
-def space_key(count_maps: Sequence[Mapping[str, float]], weighting: str) -> str:
-    """Key of an interned :class:`~repro.vsm.matrix.VectorSpace`.
-
-    The key hashes the count maps *in iteration order* — the vocabulary
-    column order (and therefore the exact float accumulation order of
-    every downstream kernel) depends on it, and the warm == cold
-    bitwise invariant demands the cached space be the exact space a
-    fresh build would produce.
-    """
-    payload = json.dumps(
-        [weighting, [list(map(list, counts.items())) for counts in count_maps]],
-        ensure_ascii=False,
-        separators=(",", ":"),
-    )
-    return _tagged(sha256_hex(payload), f"space:v{SPACE_VERSION}")
-
-
 __all__ = [
     "EXTRACTOR_VERSION",
     "MODEL_VERSION",
     "PARSER_VERSION",
     "RECORD_VERSION",
     "SIGNATURE_VERSION",
-    "SPACE_VERSION",
     "candidate_records_key",
     "model_key",
     "page_signature_key",
     "page_tree_key",
     "sha256_hex",
-    "space_key",
 ]

@@ -35,7 +35,6 @@ from repro.artifacts.keys import sha256_hex  # noqa: F401  (re-export)
 KIND_TREES = "trees"
 KIND_SIGNATURES = "signatures"
 KIND_RECORDS = "records"
-KIND_SPACES = "spaces"
 KIND_MODELS = "models"
 
 _STATS_FILE = "stats.json"
@@ -203,7 +202,6 @@ __all__ = [
     "KIND_MODELS",
     "KIND_RECORDS",
     "KIND_SIGNATURES",
-    "KIND_SPACES",
     "KIND_TREES",
     "load_persistent_stats",
     "merge_persistent_stats",

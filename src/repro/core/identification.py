@@ -93,7 +93,6 @@ class PageletIdentifier:
             n_pages=len(pages),
             static_similarity_threshold=cfg.static_similarity_threshold,
             min_support=cfg.min_support,
-            execution=self.execution,
         )
         scored = score_sets(
             dynamic_sets(ranked),

@@ -13,10 +13,10 @@ similarity (most dynamic) first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.config import ExecutionConfig
 from repro.core.subtree_sets import CommonSubtreeSet
+from repro.vsm.matrix import weighted_space
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,7 @@ class RankedSubtreeSet:
 
 
 def intra_set_similarity(
-    subtree_set: CommonSubtreeSet,
-    use_tfidf: bool = True,
-    execution: Optional[ExecutionConfig] = None,
+    subtree_set: CommonSubtreeSet, use_tfidf: bool = True
 ) -> float:
     """Mean pairwise cosine similarity of the set's member contents.
 
@@ -47,24 +45,15 @@ def intra_set_similarity(
     Figure 9's left histogram.
 
     The whole set is weighted in one
-    :func:`repro.vsm.matrix.weighted_space` batch; with an
-    ``execution`` plan the build goes through the keyed (and, when
-    configured, persistent) space cache, so a warm rerun skips the
-    TFIDF build per set.
+    :func:`repro.vsm.matrix.weighted_space` batch, built fresh on every
+    call: a set's space is cheap to build and is not reused, so it is
+    neither cached nor stored.
     """
     counts = [c.term_counts for c in subtree_set.candidates()]
     n = len(counts)
     if n <= 1:
         return 1.0
-    scheme = "tfidf" if use_tfidf else "raw"
-    if execution is not None:
-        from repro.runtime import cached_weighted_space
-
-        space = cached_weighted_space(counts, scheme, execution)
-    else:
-        from repro.vsm.matrix import weighted_space
-
-        space = weighted_space(counts, scheme)
+    space = weighted_space(counts, "tfidf" if use_tfidf else "raw")
     # Rows are unit length (or zero), so the mean pairwise cosine has a
     # closed form: Σ_{i<j} v_i·v_j = (‖Σv‖² − #non-zero) / 2, one
     # axis-sum and one dot product instead of O(n²) pair products.
@@ -99,7 +88,6 @@ def rank_subtree_sets(
     static_similarity_threshold: float = 0.5,
     min_support: float = 0.5,
     use_tfidf: bool = True,
-    execution: Optional[ExecutionConfig] = None,
 ) -> list[RankedSubtreeSet]:
     """Score, filter, and rank common subtree sets.
 
@@ -115,9 +103,7 @@ def rank_subtree_sets(
     for subtree_set in sets:
         if subtree_set.support < min_pages:
             continue
-        similarity = intra_set_similarity(
-            subtree_set, use_tfidf, execution=execution
-        )
+        similarity = intra_set_similarity(subtree_set, use_tfidf)
         ranked.append(
             RankedSubtreeSet(
                 subtree_set=subtree_set,

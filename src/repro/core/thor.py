@@ -170,7 +170,7 @@ class Thor:
             config.subtrees, seed=config.seed, execution=execution
         )
         self._partitioner = ObjectPartitioner(config.subtrees)
-        #: Artifact-cache counters folded in at each extraction flush.
+        #: Artifact-cache counters folded in at the end of each run.
         self._artifact_stats: dict[str, int] = {}
         #: Resilience ledger, accumulated across this instance's stages.
         self._report = RunReportBuilder()
@@ -361,6 +361,7 @@ class Thor:
                 # Feed the next incremental run: every completed run
                 # (and every refresh) re-publishes the fitted model.
                 self.persist_model(result)
+            self._flush_artifact_stats()
             return result
 
     def _open_checkpoint(self, options: RunOptions):
@@ -513,7 +514,7 @@ class Thor:
         return primed
 
     def _persist_signatures(self, pages: Sequence[Page], primed: set[int]) -> None:
-        """Publish signatures computed this run; fold counter deltas."""
+        """Publish the signatures computed this run."""
         store = artifact_store_for(self.execution)
         if store is None:
             return
@@ -529,6 +530,14 @@ class Thor:
                 page.term_counts(),
                 page.max_fanout(),
             )
+
+    def _flush_artifact_stats(self) -> None:
+        """Fold this process's store counters into :meth:`artifact_stats`
+        and the store's persistent ledger, after the run's last publish
+        (the site model and the manifest come after Stage 3)."""
+        store = artifact_store_for(self.execution)
+        if store is None:
+            return
         for field, value in store.stats().items():
             self._artifact_stats[field] = self._artifact_stats.get(field, 0) + value
         store.flush_stats()

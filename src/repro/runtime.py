@@ -26,7 +26,9 @@ store + recovery policy) and provides the shared machinery:
   times with different k/restart settings; interning the collection
   into a :class:`~repro.vsm.matrix.VectorSpace` each time was the
   dominant cost. The cache keys on the collection *content* (count
-  maps + weighting scheme), so it can never serve a stale space.
+  maps + weighting scheme), so it can never serve a stale space. It
+  is an in-process LRU only: spaces are never written to the artifact
+  store, because rebuilding one costs less than publishing it.
 
 The user-facing knobs live on :class:`repro.config.ExecutionConfig`
 (re-exported here), threaded through ``ThorConfig.execution``, the
@@ -367,7 +369,7 @@ _SPACE_CACHE_LIMIT = 16
 _SPACE_CACHE_STATS = {"hits": 0, "misses": 0}
 
 
-def _space_key(count_maps: Sequence[Mapping[str, float]], weighting: str) -> _SpaceKey:
+def _content_key(count_maps: Sequence[Mapping[str, float]], weighting: str) -> _SpaceKey:
     """A content key for a collection: never stale, cheap vs interning.
 
     Items are kept in *iteration order*, not sorted: the vocabulary
@@ -383,9 +385,7 @@ def _space_key(count_maps: Sequence[Mapping[str, float]], weighting: str) -> _Sp
 
 
 def cached_weighted_space(
-    count_maps: Sequence[Mapping[str, float]],
-    weighting: str = "tfidf",
-    execution: Optional[ExecutionConfig] = None,
+    count_maps: Sequence[Mapping[str, float]], weighting: str = "tfidf"
 ):
     """:func:`repro.vsm.matrix.weighted_space` behind the keyed cache.
 
@@ -394,82 +394,23 @@ def cached_weighted_space(
     fresh build would produce; the k-sensitivity sweeps re-cluster one
     collection per (k, restarts) point and pay the interning cost once.
     Spaces must be treated as immutable by callers (they already are:
-    every kernel copies before writing).
-
-    When the execution plan configures a persistent artifact store
-    (``cache_dir`` / ``REPRO_CACHE_DIR``), an in-memory miss falls
-    through to the on-disk cache before rebuilding, and fresh builds
-    are persisted — the keyed space cache survives across processes.
-    Stored matrices are exact float64 round-trips, so a disk hit is
-    bitwise identical to a cold build.
+    every kernel copies before writing). The cache lives in this
+    process only: a build costs less than reading it back from disk.
     """
     from repro.vsm.matrix import weighted_space
 
-    key = _space_key(count_maps, weighting)
+    key = _content_key(count_maps, weighting)
     space = _SPACE_CACHE.get(key)
     if space is not None:
         _SPACE_CACHE.move_to_end(key)
         _SPACE_CACHE_STATS["hits"] += 1
         return space
     _SPACE_CACHE_STATS["misses"] += 1
-    store = artifact_store_for(execution)
-    space = _load_persistent_space(store, count_maps, weighting)
-    if space is None:
-        space = weighted_space(count_maps, weighting)
-        _store_persistent_space(store, count_maps, weighting, space)
+    space = weighted_space(count_maps, weighting)
     _SPACE_CACHE[key] = space
     while len(_SPACE_CACHE) > _SPACE_CACHE_LIMIT:
         _SPACE_CACHE.popitem(last=False)
     return space
-
-
-def _load_persistent_space(
-    store, count_maps: Sequence[Mapping[str, float]], weighting: str
-):
-    """Rebuild a :class:`VectorSpace` from the artifact store, if any."""
-    if store is None:
-        return None
-    from repro.artifacts.keys import space_key as persistent_space_key
-    from repro.artifacts.store import KIND_SPACES
-    from repro.vsm.matrix import VectorSpace
-
-    bundle = store.get_arrays(KIND_SPACES, persistent_space_key(count_maps, weighting))
-    if bundle is None:
-        return None
-    meta = bundle.get("meta")
-    if (
-        not isinstance(meta, dict)
-        or not isinstance(meta.get("features"), list)
-        or "matrix" not in bundle
-        or "norms" not in bundle
-    ):
-        return None
-    features = meta["features"]
-    matrix = bundle["matrix"]
-    if matrix.ndim != 2 or matrix.shape != (len(count_maps), len(features)):
-        return None
-    vocabulary = {feature: index for index, feature in enumerate(features)}
-    return VectorSpace(vocabulary, matrix, bundle["norms"])
-
-
-def _store_persistent_space(
-    store, count_maps: Sequence[Mapping[str, float]], weighting: str, space
-) -> None:
-    """Persist a freshly built space (best effort — cache, not state)."""
-    if store is None:
-        return
-    from repro.artifacts.keys import space_key as persistent_space_key
-    from repro.artifacts.store import KIND_SPACES
-
-    try:
-        store.put_arrays(
-            KIND_SPACES,
-            persistent_space_key(count_maps, weighting),
-            {"matrix": space.matrix, "norms": space.norms},
-            meta={"features": space.features},
-        )
-    except OSError:  # pragma: no cover - disk-full/permission races
-        pass
 
 
 def space_cache_stats() -> dict[str, int]:

@@ -45,8 +45,7 @@ class ClusteringConfig:
     ``seed``, and ``execution`` are forwarded to the underlying
     algorithm (ignored by the random baseline's single draw). The
     :class:`~repro.config.ExecutionConfig` supplies the restart
-    fan-out and, for the vector configurations, the artifact store the
-    keyed space cache persists to.
+    fan-out.
     """
 
     key: str
@@ -80,7 +79,7 @@ def _vector_kmeans(signature: Callable[[Page], dict], weighting: str):
         # Weight straight into the dense space — no per-page
         # SparseVector is ever materialized — and reuse it across calls
         # over the same collection (k sweeps).
-        space = cached_weighted_space(signatures, weighting, execution)
+        space = cached_weighted_space(signatures, weighting)
         return kmeans.fit_space(space).clustering
 
     return run

@@ -12,7 +12,6 @@ from repro.artifacts import (
     ArtifactStore,
     KIND_MODELS,
     KIND_RECORDS,
-    KIND_SPACES,
     KIND_TREES,
     artifact_report,
     cached_signature,
@@ -27,7 +26,6 @@ from repro.artifacts import (
     payload_to_tree,
     put_signature,
     put_tree,
-    space_key,
     store_usage,
     tree_to_payload,
 )
@@ -59,15 +57,6 @@ class TestKeys:
         assert candidate_records_key(HTML, True) != candidate_records_key(
             HTML, False
         )
-
-    def test_space_key_is_iteration_order_sensitive(self):
-        # Column order of the vocabulary is load-bearing for the
-        # bitwise invariant: two collections with equal *sorted*
-        # content but different insertion order are different spaces.
-        a = space_key([{"x": 1, "y": 2}], "tfidf")
-        b = space_key([{"y": 2, "x": 1}], "tfidf")
-        assert a != b
-        assert space_key([{"x": 1}], "tfidf") != space_key([{"x": 1}], "raw")
 
 
 class TestStore:
@@ -117,10 +106,10 @@ class TestStore:
         matrix = np.array([[0.1, 0.2], [1.0 / 3.0, 7e-300]])
         norms = np.array([1.0, 0.999999999999])
         store.put_arrays(
-            KIND_SPACES, "12" * 32, {"matrix": matrix, "norms": norms},
+            KIND_MODELS, "12" * 32, {"matrix": matrix, "norms": norms},
             meta={"features": ["a", "b"]},
         )
-        bundle = store.get_arrays(KIND_SPACES, "12" * 32)
+        bundle = store.get_arrays(KIND_MODELS, "12" * 32)
         assert bundle["meta"] == {"features": ["a", "b"]}
         assert np.array_equal(bundle["matrix"], matrix)
         assert np.array_equal(bundle["norms"], norms)
@@ -331,59 +320,70 @@ class TestStoreRegistry:
         assert artifact_store_for(ExecutionConfig()) is None
 
 
-class TestPersistentSpaceCache:
-    @pytest.fixture(autouse=True)
-    def fresh_caches(self):
-        from repro.runtime import (
-            clear_artifact_store_registry,
-            clear_space_cache,
-        )
+class TestColdRunStore:
+    """What one run of the pipeline leaves in a fresh store."""
 
-        clear_space_cache()
+    @pytest.fixture(autouse=True)
+    def fresh_registry(self):
+        from repro.runtime import clear_artifact_store_registry
+
         clear_artifact_store_registry()
         yield
-        clear_space_cache()
         clear_artifact_store_registry()
 
-    def test_disk_hit_is_bitwise_identical(self, tmp_path):
-        from repro.runtime import (
-            artifact_store_for,
-            cached_weighted_space,
-            clear_space_cache,
-        )
-        from repro.vsm.matrix import weighted_space
+    @staticmethod
+    def _run(execution):
+        from repro import api
 
-        maps = [{"a": 2, "b": 1}, {"b": 3, "c": 1}, {"a": 1}]
+        config = api.ThorConfig(seed=3, execution=execution)
+        return api.run(api.make_site("music", seed=3), config)
+
+    def test_cold_run_writes_no_spaces(self, tmp_path):
+        from repro.io.export import result_digest
+
+        stored = self._run(ExecutionConfig(cache_dir=str(tmp_path)))
+        storeless = self._run(ExecutionConfig(artifact_cache="off"))
+        # Phase-2 ranking builds each set's space in memory: nothing
+        # of it reaches the store, and the output is the storeless one.
+        assert not (tmp_path / "spaces").exists()
+        assert set(store_usage(tmp_path)["kinds"]) >= {"trees", "records"}
+        assert result_digest(stored) == result_digest(storeless)
+
+    def test_run_flushes_every_publish_to_the_ledger(self, tmp_path):
+        from repro import api
+        from repro.core.thor import Thor
+        from repro.runtime import artifact_store_for
+
         execution = ExecutionConfig(cache_dir=str(tmp_path))
-        built = cached_weighted_space(maps, "tfidf", execution)
-        clear_space_cache()  # force the in-memory miss
-        loaded = cached_weighted_space(maps, "tfidf", execution)
-        assert loaded is not built
-        assert np.array_equal(loaded.matrix, built.matrix)
-        assert np.array_equal(loaded.norms, built.norms)
-        assert loaded.vocabulary == built.vocabulary
-        fresh = weighted_space(maps, "tfidf")
-        assert np.array_equal(loaded.matrix, fresh.matrix)
-        store = artifact_store_for(execution)
-        assert store.stats()["hits"] >= 1
+        thor = Thor(api.ThorConfig(seed=3, execution=execution))
+        thor.run(api.make_site("music", seed=3))
+        # The site model and the manifest publish after Stage 3; the
+        # ledger still sees them, because the run flushes last.
+        assert set(artifact_store_for(execution).stats().values()) == {0}
+        ledger = load_persistent_stats(tmp_path)
+        on_disk = sum(size for _, size, _ in iter_entries(tmp_path))
+        assert on_disk > 0
+        assert ledger["bytes_written"] >= on_disk
+        assert {k: v for k, v in thor.artifact_stats().items() if v} == ledger
 
-    def test_corrupt_space_artifact_falls_back_to_build(self, tmp_path):
-        from repro.artifacts.keys import space_key as persistent_space_key
-        from repro.runtime import (
-            artifact_store_for,
-            cached_weighted_space,
-            clear_space_cache,
-        )
+    def test_legacy_spaces_directory_is_ignored_and_collected(self, tmp_path):
+        from repro.io.export import result_digest
 
-        maps = [{"a": 1, "b": 2}]
         execution = ExecutionConfig(cache_dir=str(tmp_path))
-        built = cached_weighted_space(maps, "tfidf", execution)
-        store = artifact_store_for(execution)
-        path = store._path(
-            KIND_SPACES, persistent_space_key(maps, "tfidf"), "npz"
+        cold = result_digest(self._run(execution))
+        # A bundle in the layout older versions published for every
+        # common subtree set: reported and evicted, never read.
+        ArtifactStore(tmp_path).put_arrays(
+            "spaces",
+            "5a" * 32,
+            {"matrix": np.ones((2, 2)), "norms": np.ones(2)},
+            meta={"features": ["a", "b"]},
         )
-        with open(path, "wb") as handle:
-            handle.write(b"not an npz")
-        clear_space_cache()
-        rebuilt = cached_weighted_space(maps, "tfidf", execution)
-        assert np.array_equal(rebuilt.matrix, built.matrix)
+        hits = load_persistent_stats(tmp_path).get("hits", 0)
+        assert result_digest(self._run(execution)) == cold
+        assert load_persistent_stats(tmp_path)["hits"] > hits  # a warm run
+        report = artifact_report(tmp_path)
+        assert report["kinds"]["spaces"]["entries"] == 1
+        assert "spaces: 1 entries" in format_artifact_report(report)
+        collect(tmp_path, max_bytes=0)
+        assert "spaces" not in store_usage(tmp_path)["kinds"]

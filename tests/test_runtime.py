@@ -38,6 +38,17 @@ class TestSpaceCache:
         assert raw is not tfidf
         assert space_cache_stats()["misses"] == 2
 
+    def test_key_is_iteration_order_sensitive(self):
+        # Vocabulary columns follow first-seen term order, so two
+        # collections with equal *sorted* content but a different
+        # insertion order build column-permuted spaces: they must not
+        # share an LRU slot.
+        first = cached_weighted_space([{"x": 1, "y": 2}])
+        second = cached_weighted_space([{"y": 2, "x": 1}])
+        assert second is not first
+        assert (first.features, second.features) == (["x", "y"], ["y", "x"])
+        assert space_cache_stats()["misses"] == 2
+
     def test_miss_on_different_content(self):
         first = cached_weighted_space(MAPS)
         other = cached_weighted_space(MAPS + [{"d": 1}])
