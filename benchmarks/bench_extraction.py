@@ -15,8 +15,12 @@ cache, asserts the bitwise-equivalence invariant along the way
 Floors (skipped floors are recorded explicitly in the archived JSON's
 ``skipped_floors`` list, with reasons — never silently):
 
-- warm cache ≥ ``REPRO_BENCH_WARM_FLOOR``× serial (default 4.0;
-  measured ~5× on the reference machine),
+- warm cache ≥ ``REPRO_BENCH_WARM_FLOOR``× serial (default 4.0). On a
+  2-vCPU host it read 5.19–6.95× while the serial path re-stemmed every
+  candidate's text, and 2.14–2.41× once the one-pass record builder
+  cut that serial per-page cost from 3.1–4.3 s to 1.15–1.21 s (three
+  runs each; the read-back itself stayed at 0.50–0.69 s), so this
+  floor now fails: the ``records/`` tier costs about what it saves,
 - cold 4-worker fan-out ≥ ``REPRO_BENCH_COLD_FLOOR``× serial (default
   2.0) — asserted only when ≥ 4 cores are actually available: on a
   single-core runner the workers time-slice one CPU and the honest
@@ -35,7 +39,7 @@ import pickle
 import tempfile
 import time
 
-from conftest import emit, emit_json
+from conftest import available_cpus, emit, emit_json
 from repro.config import ExecutionConfig, SubtreeConfig
 from repro.core.identification import PageletIdentifier
 from repro.core.page import Page
@@ -46,13 +50,6 @@ WARM_FLOOR = float(os.environ.get("REPRO_BENCH_WARM_FLOOR", "4.0"))
 COLD_FLOOR = float(os.environ.get("REPRO_BENCH_COLD_FLOOR", "2.0"))
 TRANSPORT_FLOOR = float(os.environ.get("REPRO_BENCH_TRANSPORT_FLOOR", "5.0"))
 COLD_JOBS = (1, 2, 4, 8)
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _reset_caches() -> None:
@@ -167,7 +164,7 @@ def test_phase2_parallel_and_cache_speedup(corpus, capsys):
     )
     transport_reduction = pickled_bytes / columnar["bytes_received"]
 
-    cpus = _available_cpus()
+    cpus = available_cpus()
     skipped_floors = []
     if cpus < 4:
         skipped_floors.append(

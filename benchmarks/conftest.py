@@ -56,6 +56,14 @@ def synthetic_collections(corpus):
     return collections
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on (what a fan-out floor needs)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
 def emit(capsys, name: str, text: str) -> None:
     """Print a result table to the live terminal and archive it."""
     with capsys.disabled():

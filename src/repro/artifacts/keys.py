@@ -28,7 +28,7 @@ PARSER_VERSION = 1
 RECORD_VERSION = 1
 
 #: Bump when the page-signature layout changes (tag counts, term
-#: counts, max fanout — :func:`repro.artifacts.store.page_signature`).
+#: counts, max fanout — :func:`repro.artifacts.pages.put_signature`).
 SIGNATURE_VERSION = 1
 
 #: Bump when the term-extraction pipeline (tokenize → stem) changes.

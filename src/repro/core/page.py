@@ -118,11 +118,16 @@ class Page:
             self._tag_counts = self.tree.tag_counts()
         return self._tag_counts
 
-    def term_counts(self) -> dict[str, int]:
+    def term_counts(
+        self, stems: Optional[dict[str, str]] = None
+    ) -> dict[str, int]:
         """Frequency of each (stemmed) content term — the raw content
-        signature."""
+        signature. ``stems`` is the caller's word → stem memo (see
+        :meth:`TermExtractor.extract`); it never changes the result."""
         if self._term_counts is None:
-            self._term_counts = self._extractor.extract_counts(self.tree.text())
+            self._term_counts = self._extractor.extract_counts(
+                self.tree.text(), stems
+            )
         return self._term_counts
 
     def distinct_terms_count(self) -> int:

@@ -16,15 +16,25 @@ correspond to QA-Pagelets (Section 3.2.1):
 The page root itself is never a candidate: the paper's selection step
 explicitly discourages "the subtree corresponding to the entire page".
 
+One postorder pass per page (:func:`_walk`) computes everything the
+rules and the records read: each tag node's size and content profile,
+and its subtree's term counts. Each content node is
+tokenized and stemmed once; a tag node's counts are its children's
+counts summed in document order. That equals extracting
+``node.text()`` afresh, insertion order included, because ``text()``
+joins the content nodes with a space and no token contains one. A
+caller-owned stem memo (one worker chunk, one cluster call) stems each
+distinct word once.
+
 Two output forms exist. :func:`candidate_subtrees` returns live
 :class:`~repro.html.tree.TagNode` handles into the page tree (the
-wrapper and the record builder use it).
-:func:`candidate_records_for_cluster` — the form Phase 2 runs on —
-snapshots the same candidates into node-free :class:`CandidateRecord`
-values (paths, shape quadruples, subtree term counts, sibling shapes)
-that pickle across process boundaries and serialize into the artifact
-cache; the records carry everything downstream Phase-2 steps read from
-a node.
+wrapper uses it). :func:`candidate_records_for_cluster` — the form
+Phase 2 runs on — turns the same candidates into node-free
+:class:`CandidateRecord` values (paths, shape quadruples, subtree term
+counts, sibling shapes) that pickle across process boundaries and
+serialize into the artifact cache; the records carry everything
+downstream Phase-2 steps read from a node. Both apply one set of
+pruning rules (:func:`_keeps`).
 """
 
 from __future__ import annotations
@@ -34,42 +44,91 @@ from typing import Mapping, Optional, Sequence
 
 from repro.config import ExecutionConfig, resolve_cache_dir, resolve_n_jobs
 from repro.core.page import Page
-from repro.html.metrics import subtree_shape
-from repro.html.paths import node_tag_sequence
-from repro.html.tree import ContentNode, TagNode
+from repro.html.paths import child_steps
+from repro.html.tree import TagNode
 from repro.text.terms import DEFAULT_EXTRACTOR
 
+#: Per tag node: (subtree size, direct content children,
+#: content-bearing tag children, term counts or ``None`` when the
+#: subtree has no terms).
+_Stats = tuple[int, int, int, Optional[dict[str, int]]]
 
-def _content_profile(root: TagNode) -> dict[int, tuple[int, int]]:
-    """For every tag node (by id): (direct content children,
-    content-bearing tag children). Computed in one postorder pass."""
-    profile: dict[int, tuple[int, int]] = {}
-    has_content: dict[int, bool] = {}
-    stack: list[tuple[TagNode, bool]] = [(root, False)]
+
+def _walk(
+    root: TagNode,
+    stems: Optional[dict[str, str]] = None,
+    count_terms: bool = True,
+) -> tuple[list[TagNode], dict[int, list[TagNode]], dict[int, _Stats]]:
+    """One pass over a page tree.
+
+    Returns the tag nodes in document (pre-)order, each node's tag
+    children (by node id), and each node's :data:`_Stats` (by node id),
+    filled in postorder. Term counts are shared, never copied, when a
+    node's terms all come from one child; they are never mutated once
+    built. The root's own counts are never needed (it is never a
+    candidate) and are not summed.
+    """
+    order: list[TagNode] = []
+    kids_of: dict[int, list[TagNode]] = {}
+    stack = [root]
     while stack:
-        node, expanded = stack.pop()
-        if not expanded:
-            stack.append((node, True))
-            for child in node.children:
-                if isinstance(child, TagNode):
-                    stack.append((child, False))
-            continue
-        direct = 0
-        bearing = 0
+        node = stack.pop()
+        order.append(node)
+        kids = [c for c in node.children if isinstance(c, TagNode)]
+        kids_of[id(node)] = kids
+        stack.extend(reversed(kids))
+    extract = DEFAULT_EXTRACTOR.extract
+    stats: dict[int, _Stats] = {}
+    for node in reversed(order):  # every child before its parent
+        size = 1
+        direct = bearing = 0
+        counts: Optional[dict[str, int]] = None
+        owned = False
+        merge = count_terms and node is not root
         for child in node.children:
-            if isinstance(child, ContentNode):
-                if child.text.strip():
-                    direct += 1
-            elif has_content.get(id(child), False):
-                bearing += 1
-        profile[id(node)] = (direct, bearing)
-        has_content[id(node)] = (direct + bearing) > 0
-    return profile
+            if isinstance(child, TagNode):
+                child_size, c_direct, c_bearing, child_counts = stats[id(child)]
+                size += child_size
+                if c_direct or c_bearing:
+                    bearing += 1
+            else:
+                size += 1
+                text = child.text
+                if not text.strip():
+                    continue  # no content, hence no terms
+                direct += 1
+                if not merge:
+                    continue
+                child_counts = {}
+                for term in extract(text, stems):
+                    child_counts[term] = child_counts.get(term, 0) + 1
+            if not merge or not child_counts:
+                continue
+            if counts is None:
+                counts = child_counts
+                continue
+            if not owned:
+                counts = dict(counts)
+                owned = True
+            for term, count in child_counts.items():
+                counts[term] = counts.get(term, 0) + count
+        stats[id(node)] = (size, direct, bearing, counts)
+    return order, kids_of, stats
 
 
-def _contains_branching(node: TagNode) -> bool:
-    """True when some tag node in the subtree has fanout > 1."""
-    return any(n.fanout > 1 for n in node.iter_tags())
+def _keeps(node: TagNode, stats: _Stats, require_branching: bool) -> bool:
+    """The single-page pruning rules for one non-root tag node."""
+    _, direct, bearing, _ = stats
+    if direct + bearing == 0:
+        return False  # rule 1: no content
+    if direct == 0 and bearing == 1:
+        return False  # rule 2: equivalent to its single content child
+    # Rule 3 (optional): some node of the subtree branches. A node that
+    # passed rules 1 and 2 with one child has only a content child, so
+    # its subtree branches exactly when the node itself does.
+    if require_branching and len(node.children) < 2:
+        return False
+    return True
 
 
 def candidate_subtrees(
@@ -86,21 +145,12 @@ def candidate_subtrees(
     (``body`` and the first ``div`` duplicate ``p``'s content and are
     non-minimal; the second ``div`` is empty.)
     """
-    root = page.tree.root
-    profile = _content_profile(root)
-    candidates: list[TagNode] = []
-    for node in root.iter_tags():
-        if node is root:
-            continue
-        direct, bearing = profile[id(node)]
-        if direct + bearing == 0:
-            continue  # rule 1: no content
-        if direct == 0 and bearing == 1:
-            continue  # rule 2: equivalent to its single content child
-        if require_branching and not _contains_branching(node):
-            continue  # rule 3 (optional)
-        candidates.append(node)
-    return candidates
+    order, _, stats = _walk(page.tree.root, count_terms=False)
+    return [
+        node
+        for node in order[1:]
+        if _keeps(node, stats[id(node)], require_branching)
+    ]
 
 
 def candidate_subtrees_for_cluster(
@@ -145,25 +195,55 @@ class CandidateRecord:
     siblings: tuple[tuple[str, int, int], ...]
 
 
-def candidate_record(node: TagNode) -> CandidateRecord:
-    """Snapshot one candidate node into a :class:`CandidateRecord`."""
-    shape = subtree_shape(node)
-    siblings: list[tuple[str, int, int]] = []
-    parent = node.parent
-    if parent is not None:
-        for child in parent.tag_children():
-            if child is node:
-                continue
-            siblings.append((child.tag, child.fanout, child.size()))
-    return CandidateRecord(
-        path=shape.path,
-        tags=tuple(node_tag_sequence(node)),
-        fanout=shape.fanout,
-        depth=shape.depth,
-        nodes=shape.nodes,
-        term_counts=DEFAULT_EXTRACTOR.extract_counts(node.text()),
-        siblings=tuple(siblings),
+def page_candidate_records(
+    page: Page,
+    require_branching: bool = False,
+    stems: Optional[dict[str, str]] = None,
+) -> list[CandidateRecord]:
+    """The records of :func:`candidate_subtrees`, in the same order,
+    from one :func:`_walk` over the page.
+
+    ``stems`` is the caller's word → stem memo; without one, the call
+    keeps its own for this page.
+
+    >>> page = Page("<html><body><p>Cats <b>cat</b></p><p>dog</p></body></html>")
+    >>> [(r.path, r.nodes, r.term_counts) for r in page_candidate_records(page)]
+    ... # doctest: +NORMALIZE_WHITESPACE
+    [('html/body', 7, {'cat': 2, 'dog': 1}), ('html/body/p[1]', 4, {'cat': 2}),
+     ('html/body/p[1]/b', 2, {'cat': 1}), ('html/body/p[2]', 2, {'dog': 1})]
+    """
+    root = page.tree.root
+    order, kids_of, stats = _walk(
+        root, stems if stems is not None else {}
     )
+    # (path, tags, the parent's tag-child shapes, index among them) of
+    # each node, filled in when its parent is visited.
+    placed: dict[int, tuple[str, tuple[str, ...], list, int]] = {}
+    path, tags = root.tag, (root.tag,)
+    records: list[CandidateRecord] = []
+    for node in order:
+        if node is not root:
+            path, tags, shapes, index = placed.pop(id(node))
+            node_stats = stats[id(node)]
+            if _keeps(node, node_stats, require_branching):
+                records.append(
+                    CandidateRecord(
+                        path=path,
+                        tags=tags,
+                        fanout=len(node.children),
+                        depth=len(tags) - 1,
+                        nodes=node_stats[0],
+                        term_counts=node_stats[3] or {},
+                        siblings=tuple(shapes[:index] + shapes[index + 1 :]),
+                    )
+                )
+        kids = kids_of[id(node)]
+        if not kids:
+            continue
+        shapes = [(kid.tag, len(kid.children), stats[id(kid)][0]) for kid in kids]
+        for index, (kid, step) in enumerate(zip(kids, child_steps(kids))):
+            placed[id(kid)] = (f"{path}/{step}", tags + (kid.tag,), shapes, index)
+    return records
 
 
 def record_to_payload(record: CandidateRecord) -> dict:
@@ -215,7 +295,11 @@ def _payloads_to_records(payload) -> Optional[list[CandidateRecord]]:
 
 
 def _records_for_html(
-    store, html: str, require_branching: bool, page: Optional[Page] = None
+    store,
+    html: str,
+    require_branching: bool,
+    page: Optional[Page] = None,
+    stems: Optional[dict[str, str]] = None,
 ) -> list[CandidateRecord]:
     """Candidate records for one page, through the artifact cache.
 
@@ -235,10 +319,7 @@ def _records_for_html(
             return cached
     if page is None:
         page = Page(html)
-    records = [
-        candidate_record(node)
-        for node in candidate_subtrees(page, require_branching)
-    ]
+    records = page_candidate_records(page, require_branching, stems)
     if store is not None:
         from repro.artifacts.pages import put_tree
 
@@ -250,15 +331,18 @@ def _records_for_html(
 
 
 def _records_worker(payload, htmls: Sequence[str]) -> list[list[CandidateRecord]]:
-    """Process-pool worker: records for a chunk of page HTML strings."""
+    """Process-pool worker: records for a chunk of page HTML strings,
+    with one stem memo for the chunk."""
     require_branching, cache_root = payload
     store = None
     if cache_root is not None:
         from repro.runtime import artifact_store_for
 
         store = artifact_store_for(ExecutionConfig(cache_dir=cache_root))
+    stems: dict[str, str] = {}
     results = [
-        _records_for_html(store, html, require_branching) for html in htmls
+        _records_for_html(store, html, require_branching, stems=stems)
+        for html in htmls
     ]
     if store is not None:
         store.flush_stats()
@@ -293,6 +377,8 @@ def candidate_records_for_cluster(
     directory each page's records are served from — or published to —
     the persistent store. Output order follows ``pages``, and per-page
     record order is the document order of :func:`candidate_subtrees`.
+    The pages of a cluster share most of their words, so one stem memo
+    serves the whole call (or each worker's chunk).
     """
     n_jobs = resolve_n_jobs(execution)
     cache_root = resolve_cache_dir(execution)
@@ -311,20 +397,11 @@ def candidate_records_for_cluster(
         )
     from repro.runtime import artifact_store_for
 
+    # Without a store nothing is hashed: records come from the page's
+    # own (possibly already parsed) tree.
     store = artifact_store_for(execution)
-    results = []
-    for page in pages:
-        if store is None:
-            # No cache: derive from the page's own (possibly already
-            # parsed) tree without hashing anything.
-            results.append(
-                [
-                    candidate_record(node)
-                    for node in candidate_subtrees(page, require_branching)
-                ]
-            )
-        else:
-            results.append(
-                _records_for_html(store, page.html, require_branching, page)
-            )
-    return results
+    stems: dict[str, str] = {}
+    return [
+        _records_for_html(store, page.html, require_branching, page, stems)
+        for page in pages
+    ]

@@ -443,9 +443,15 @@ class Thor:
 
     def _quarantine_scan(self, pages: Sequence[Page]) -> list[Page]:
         """Force each page's parse + signature analysis, quarantining
-        the ones that raise; returns the surviving pages in order."""
+        the ones that raise; returns the surviving pages in order.
+
+        One stem memo serves the whole scan: a site's pages share most
+        of their words, so each distinct word is stemmed once per run.
+        It lives only as long as the run, unlike a process-wide memo.
+        """
         plan = active_fault_plan()
         surviving: list[Page] = []
+        stems: dict[str, str] = {}
         for index, page in enumerate(pages):
             unit = page.url or f"page[{index}]"
             try:
@@ -454,7 +460,7 @@ class Thor:
                     if fault is not None:
                         raise fault
                 page.tag_counts()
-                page.term_counts()
+                page.term_counts(stems)
                 page.max_fanout()
             except ThorError as exc:
                 self._report.quarantine(

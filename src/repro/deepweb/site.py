@@ -20,7 +20,7 @@ from repro.deepweb.database import SearchableDatabase
 from repro.deepweb.domains.base import DomainSpec
 from repro.deepweb.templates import PageTemplates, SiteTheme
 from repro.html.paths import node_path
-from repro.html.tree import TagNode
+from repro.html.tree import TagNode, TagTree
 
 #: Page class labels.
 CLASS_MULTI = "multi"
@@ -33,9 +33,20 @@ PAGELET_CLASSES = frozenset({CLASS_MULTI, CLASS_SINGLE})
 
 
 class LabeledPage(Page):
-    """A generated page with ground truth attached."""
+    """A generated page with ground truth attached.
 
-    __slots__ = ("class_label", "gold_pagelet_path", "gold_object_paths")
+    The labels are either given (a page cache read back from disk) or,
+    for a page the simulator just rendered, read from the page's own
+    tree the first time either label is asked for, so a page is not
+    parsed a second time just to label it. The tree may be parsed or
+    loaded from the artifact store; its codec keeps the ``id``/``class``
+    markers the labels come from. A run without a ``run_id`` never
+    reads the labels. A checkpointed run does: its probe checkpoint
+    records each page with its labels, so every pagelet-class page is
+    parsed when the checkpoint is saved.
+    """
+
+    __slots__ = ("class_label", "_results_id", "_gold")
 
     def __init__(
         self,
@@ -45,21 +56,67 @@ class LabeledPage(Page):
         class_label: str,
         gold_pagelet_path: Optional[str] = None,
         gold_object_paths: tuple[str, ...] = (),
+        results_id: Optional[str] = None,
     ) -> None:
         super().__init__(html, url=url, query=query)
         self.class_label = class_label
-        self.gold_pagelet_path = gold_pagelet_path
-        self.gold_object_paths = gold_object_paths
+        #: The theme's results-container id when the labels are to be
+        #: read from the tree; ``None`` when they were given.
+        self._results_id = results_id
+        self._gold: Optional[tuple[Optional[str], tuple[str, ...]]] = (
+            None
+            if results_id is not None
+            else (gold_pagelet_path, gold_object_paths)
+        )
+
+    def _labels(self) -> tuple[Optional[str], tuple[str, ...]]:
+        if self._gold is None:
+            pagelet_path, object_paths = _gold_paths(self.tree, self._results_id)
+            if self.class_label == CLASS_SINGLE and pagelet_path is not None:
+                # A single-match page answers with ONE item: the paper
+                # defines a QA-Object per query match, so the whole
+                # pagelet is the lone object (its field rows are
+                # attributes of the match, not separate objects).
+                object_paths = (pagelet_path,)
+            self._gold = (pagelet_path, object_paths)
+        return self._gold
+
+    @property
+    def gold_pagelet_path(self) -> Optional[str]:
+        """Path of the page's QA-Pagelet (``None``: the page has none)."""
+        return self._labels()[0]
+
+    @property
+    def gold_object_paths(self) -> tuple[str, ...]:
+        """Paths of the pagelet's QA-Objects, in document order."""
+        return self._labels()[1]
 
     @property
     def has_pagelet(self) -> bool:
         return self.gold_pagelet_path is not None
 
     def __repr__(self) -> str:
-        return (
-            f"LabeledPage(query={self.query!r}, class={self.class_label!r}, "
-            f"pagelet={self.gold_pagelet_path!r})"
-        )
+        return f"LabeledPage(query={self.query!r}, class={self.class_label!r})"
+
+
+def _gold_paths(
+    tree: TagTree, results_id: str
+) -> tuple[Optional[str], tuple[str, ...]]:
+    """Locate the results container and its items in a rendered page
+    (by the ``id``/``class`` markers the templates emit)."""
+    container: Optional[TagNode] = None
+    for node in tree.iter_tags():
+        if node.get("id") == results_id:
+            container = node
+            break
+    if container is None:
+        return None, ()
+    items = [
+        node
+        for node in container.iter_tags()
+        if node is not container and node.get("class") == "item"
+    ]
+    return node_path(container), tuple(node_path(n) for n in items)
 
 
 def _stable_fraction(key: str) -> float:
@@ -131,41 +188,14 @@ class SimulatedDeepWebSite:
     def _label(
         self, html: str, url: str, term: str, class_label: str
     ) -> LabeledPage:
-        pagelet_path: Optional[str] = None
-        object_paths: tuple[str, ...] = ()
-        if class_label in PAGELET_CLASSES:
-            pagelet_path, object_paths = self._gold_paths(html)
-            if class_label == CLASS_SINGLE and pagelet_path is not None:
-                # A single-match page answers with ONE item: the paper
-                # defines a QA-Object per query match, so the whole
-                # pagelet is the lone object (its field rows are
-                # attributes of the match, not separate objects).
-                object_paths = (pagelet_path,)
+        # Pagelet classes are labelled from the page's tree when first
+        # asked; the others have no pagelet to label.
         return LabeledPage(
             html,
             url=url,
             query=term,
             class_label=class_label,
-            gold_pagelet_path=pagelet_path,
-            gold_object_paths=object_paths,
+            results_id=(
+                self.theme.results_id if class_label in PAGELET_CLASSES else None
+            ),
         )
-
-    def _gold_paths(self, html: str) -> tuple[Optional[str], tuple[str, ...]]:
-        """Locate the results container and its items in the rendered
-        page (by the ``id``/``class`` markers the templates emit)."""
-        from repro.html.parser import parse
-
-        tree = parse(html)
-        container: Optional[TagNode] = None
-        for node in tree.iter_tags():
-            if node.get("id") == self.theme.results_id:
-                container = node
-                break
-        if container is None:
-            return None, ()
-        items = [
-            node
-            for node in container.iter_tags()
-            if node is not container and node.get("class") == "item"
-        ]
-        return node_path(container), tuple(node_path(n) for n in items)

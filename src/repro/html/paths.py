@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from repro.errors import PathResolutionError, PathSyntaxError
 from repro.html.tree import ContentNode, Node, TagNode, TagTree
@@ -58,6 +58,33 @@ def _sibling_index(node: TagNode) -> tuple[int, int]:
     return same.index(node) + 1, len(same)
 
 
+def sibling_step(tag: str, index: int, total: int) -> str:
+    """The path step of the ``index``-th (1-based) of ``total`` same-tag
+    siblings: ``tag[index]``, or the bare tag when it has none."""
+    return f"{tag}[{index}]" if total > 1 else tag
+
+
+def child_steps(kids: Sequence[TagNode]) -> list[str]:
+    """The path step of each tag child of one parent, in order — what
+    :func:`node_path` appends for each of them.
+
+    >>> from repro.html import parse
+    >>> tree = parse("<html><body><p></p><div></div><p></p></body></html>")
+    >>> child_steps(tree.root.find("body").tag_children())
+    ['p[1]', 'div', 'p[2]']
+    """
+    totals: dict[str, int] = {}
+    for kid in kids:
+        totals[kid.tag] = totals.get(kid.tag, 0) + 1
+    seen: dict[str, int] = {}
+    steps: list[str] = []
+    for kid in kids:
+        tag = kid.tag
+        seen[tag] = index = seen.get(tag, 0) + 1
+        steps.append(sibling_step(tag, index, totals[tag]))
+    return steps
+
+
 def node_path(node: Node) -> str:
     """Path expression from the tree root to ``node``.
 
@@ -77,12 +104,11 @@ def node_path(node: Node) -> str:
             return "#text"
         texts = [c for c in parent.children if isinstance(c, ContentNode)]
         index = texts.index(current) + 1
-        steps.append(f"#text[{index}]" if len(texts) > 1 else "#text")
+        steps.append(sibling_step("#text", index, len(texts)))
         current = parent
     while current is not None:
         assert isinstance(current, TagNode)
-        index, total = _sibling_index(current)
-        steps.append(f"{current.tag}[{index}]" if total > 1 else current.tag)
+        steps.append(sibling_step(current.tag, *_sibling_index(current)))
         current = current.parent
     steps.reverse()
     return "/".join(steps)

@@ -9,7 +9,7 @@ stemming the prefixes and suffixes from each term [Porter]."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 from repro.text.porter import porter_stem
 from repro.text.stopwords import STOPWORDS
@@ -30,26 +30,44 @@ class TermExtractor:
     remove_stopwords: bool = False
     min_length: int = 1
 
-    def extract(self, text: str) -> list[str]:
+    def extract(
+        self, text: str, stems: Optional[dict[str, str]] = None
+    ) -> list[str]:
         """Extract terms from raw text.
+
+        ``stems`` is a word → stem memo that the caller owns and scopes
+        (one run, one worker chunk); without one the call keeps its
+        own. It changes how often :func:`porter_stem` runs, never what
+        a call returns.
 
         >>> TermExtractor().extract("Connected connections connecting!")
         ['connect', 'connect', 'connect']
+        >>> memo = {}
+        >>> TermExtractor().extract("Connected connected", memo), memo
+        (['connect', 'connect'], {'connected': 'connect'})
         """
+        if stems is None:
+            stems = {}
         terms = []
         for word in tokenize_words(text):
             if self.remove_stopwords and word in STOPWORDS:
                 continue
             if self.stem:
-                word = porter_stem(word)
+                stem = stems.get(word)
+                if stem is None:
+                    stem = stems[word] = porter_stem(word)
+                word = stem
             if len(word) >= self.min_length:
                 terms.append(word)
         return terms
 
-    def extract_counts(self, text: str) -> dict[str, int]:
-        """Extract terms and return their frequency map."""
+    def extract_counts(
+        self, text: str, stems: Optional[dict[str, str]] = None
+    ) -> dict[str, int]:
+        """Extract terms and return their frequency map (insertion
+        order = first occurrence)."""
         counts: dict[str, int] = {}
-        for term in self.extract(text):
+        for term in self.extract(text, stems):
             counts[term] = counts.get(term, 0) + 1
         return counts
 

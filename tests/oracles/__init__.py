@@ -1,9 +1,10 @@
-"""Pure-python reference implementations of the numpy kernels.
+"""Pure-python reference implementations of the production kernels.
 
-Production computes with numpy only. The readable loop formulations of
-the paper's algorithms live here, test-only, as the reference the
-equivalence tests and ``benchmarks/bench_fig05_time.py`` compare the
-kernels against:
+Production computes with numpy and one-pass walks. The readable loop
+formulations of the paper's algorithms live here, test-only, as the
+reference the equivalence tests and the benches
+(``benchmarks/bench_fig05_time.py``, ``benchmarks/bench_text.py``)
+compare the kernels against:
 
 - :mod:`tests.oracles.kmeans` — Simple K-Means over sparse vectors;
 - :mod:`tests.oracles.kmedoids` — Voronoi-iteration k-medoids over
@@ -16,7 +17,9 @@ kernels against:
 - :mod:`tests.oracles.registry` — the seven clustering configurations
   wired to the loop kernels above;
 - :mod:`tests.oracles.selection` — the live-DOM sibling vote of
-  QA-Pagelet selection.
+  QA-Pagelet selection;
+- :mod:`tests.oracles.records` — single-page analysis one candidate
+  node at a time, the reference for the one-pass record builder.
 
 Restart-based oracles fan out through :func:`repro.runtime.run_restarts`
 exactly like production, and their batch workers are module-level so

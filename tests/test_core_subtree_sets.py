@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.page import Page
-from repro.core.single_page import candidate_record, candidate_subtrees
+from repro.core.single_page import candidate_subtrees
 from repro.core.subtree_sets import (
     CommonSubtreeSet,
     SubtreeCandidate,
@@ -19,6 +19,7 @@ from repro.core.subtree_sets import (
 from repro.errors import ExtractionError
 from repro.html.metrics import SubtreeShape
 from repro.html.paths import TagCodec
+from tests.oracles.records import candidate_record
 
 
 def cand(path="html/body/table", fanout=3, depth=2, nodes=10, code="hbt"):

@@ -16,7 +16,12 @@ from repro.deepweb import (
 )
 from repro.deepweb.corpus import class_distribution, probe_site
 from repro.deepweb.domains import DOMAINS, get_domain
-from repro.deepweb.site import CLASS_MULTI, CLASS_NOMATCH, CLASS_SINGLE
+from repro.deepweb.site import (
+    CLASS_MULTI,
+    CLASS_NOMATCH,
+    CLASS_SINGLE,
+    _gold_paths,
+)
 from repro.errors import SiteGenerationError
 from repro.html import parse, resolve_path
 
@@ -224,3 +229,64 @@ class TestCorpus:
 
     def test_class_distribution_empty(self):
         assert class_distribution([]) == {}
+
+
+class TestLazyGoldLabels:
+    """Answer pages label themselves from their own tree on first
+    read, so the simulator no longer parses each one a second time."""
+
+    @staticmethod
+    def expected(page, site):
+        pagelet, objects = _gold_paths(parse(page.html), site.theme.results_id)
+        if page.class_label == CLASS_SINGLE and pagelet is not None:
+            objects = (pagelet,)
+        return pagelet, objects
+
+    def run(self, domain, tmp_path=None):
+        from repro import api
+        from repro.config import ProbeConfig
+
+        execution = (
+            api.ExecutionConfig(artifact_cache="off")
+            if tmp_path is None
+            else api.ExecutionConfig(cache_dir=str(tmp_path))
+        )
+        config = api.ThorConfig(
+            seed=4,
+            execution=execution,
+            probing=ProbeConfig(dictionary_queries=40, nonsense_queries=4),
+        )
+        site = make_site(domain, seed=4)
+        return site, api.run(site, config)
+
+    @pytest.mark.parametrize("domain", sorted(DOMAINS))
+    def test_labels_after_a_run_match_a_fresh_parse(self, domain):
+        site, result = self.run(domain)
+        labelled = 0
+        for page in result.pages:
+            assert isinstance(page, LabeledPage)
+            got = (page.gold_pagelet_path, page.gold_object_paths)
+            assert got == self.expected(page, site)
+            labelled += got[0] is not None
+        assert labelled > 0
+
+    def test_labels_from_a_tree_loaded_from_the_store(self, tmp_path):
+        from repro.runtime import clear_artifact_store_registry
+
+        self.run("travel", tmp_path)
+        clear_artifact_store_registry()
+        site, warm = self.run("travel", tmp_path)
+        for page in warm.pages:
+            got = (page.gold_pagelet_path, page.gold_object_paths)
+            assert got == self.expected(page, site)
+
+    def test_nothing_is_parsed_until_a_label_is_read(self):
+        site = make_site("music", seed=5, error_rate=0.0)
+        word = next(
+            w for w in site.database.vocabulary()
+            if site.database.match_count(w) >= 2
+        )
+        page = site.query(word)
+        assert page._tree is None
+        assert page.gold_pagelet_path is not None
+        assert page._tree is not None

@@ -7,7 +7,13 @@ from hypothesis import given, strategies as st
 
 from repro.errors import PathResolutionError, PathSyntaxError
 from repro.html import parse, node_path, resolve_path, simplify_path
-from repro.html.paths import TagCodec, node_tag_sequence, parse_path, path_tags
+from repro.html.paths import (
+    TagCodec,
+    child_steps,
+    node_tag_sequence,
+    parse_path,
+    path_tags,
+)
 
 DOC = (
     "<html><body>"
@@ -53,6 +59,12 @@ class TestNodePath:
     def test_every_content_node_roundtrips(self, tree):
         for node in tree.iter_content():
             assert resolve_path(tree, node_path(node)) is node
+
+    def test_child_steps_extend_the_parent_path(self, tree):
+        for node in tree.iter_tags():
+            kids = node.tag_children()
+            for kid, step in zip(kids, child_steps(kids)):
+                assert node_path(kid) == f"{node_path(node)}/{step}"
 
 
 class TestResolvePath:

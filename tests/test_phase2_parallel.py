@@ -21,7 +21,6 @@ from repro.config import ExecutionConfig, SubtreeConfig
 from repro.core.identification import PageletIdentifier
 from repro.core.selection import _has_similar_dom_siblings
 from repro.core.single_page import (
-    candidate_record,
     candidate_records_for_cluster,
     candidate_subtrees,
     candidate_subtrees_for_cluster,
@@ -37,6 +36,7 @@ from repro.core.subtree_sets import (
 from repro.deepweb import generate_corpus
 from repro.deepweb.domains import DOMAINS
 from repro.html.paths import TagCodec
+from tests.oracles.records import candidate_record
 from tests.oracles.selection import has_similar_dom_siblings
 
 
