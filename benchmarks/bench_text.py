@@ -15,18 +15,16 @@ record (term-count order included), and archives ``BENCH_text.json``:
   parsed beforehand (neither side pays for parsing);
 - ``porter_stem`` calls for each scope a stem memo can have: one
   ``extract_counts`` call (the oracle makes one per candidate), one
-  page, one worker chunk (the ``n_jobs=2`` split of a cluster that
-  ``run_chunked`` makes), one cluster (one in-process
-  ``candidate_records_for_cluster`` call) and one run (a site). A memo
-  holds each distinct word of its scope once, so its calls are the
-  scope's distinct words; the page texts' word count is the base;
+  page, one cluster (one ``candidate_records_for_cluster`` call) and
+  one run (a site). A memo holds each distinct word of its scope once,
+  so its calls are the scope's distinct words; the page texts' word
+  count is the base;
 - the same for the page-level term counts of every probed page (the
   quarantine scan's signatures), one memo per call against one per run;
 - ``extract_counts`` words per second over the Phase-2 pages' text,
   one memo per call against one per run;
-- ``available_cpus`` and any skipped floor with its reason, as
-  ``BENCH_extraction.json`` records them (this bench is one process, so
-  no floor depends on the core count).
+- ``available_cpus`` and any skipped floor with its reason (this
+  bench is one process, so no floor depends on the core count).
 
 Floors (set well below the measured ratios):
 
@@ -43,7 +41,6 @@ import time
 from conftest import available_cpus, emit, emit_json
 from repro.core.page import Page
 from repro.core.single_page import page_candidate_records
-from repro.runtime import _chunks
 from repro.text import terms
 from repro.text.terms import DEFAULT_EXTRACTOR
 from repro.text.tokenize import tokenize_words
@@ -52,8 +49,6 @@ from tests.oracles.records import page_records
 PASS_FLOOR = 2.0
 MEMO_FLOOR = 1.5
 ROUNDS = 3
-#: The worker count whose chunking the chunk scope mirrors.
-CHUNK_JOBS = 2
 
 
 @contextlib.contextmanager
@@ -137,14 +132,6 @@ def test_text_layer(corpus, capsys):
     scopes = {
         "call (per-node oracle)": calls[0],
         "page": stem_calls([[page] for page in pages]),
-        "chunk": stem_calls(
-            [
-                chunk
-                for site in sites
-                for cluster in site
-                for chunk in _chunks(cluster, CHUNK_JOBS)
-            ]
-        ),
         "cluster": stem_calls([cluster for site in sites for cluster in site]),
         "run": stem_calls(
             [[page for cluster in site for page in cluster] for site in sites]

@@ -664,8 +664,10 @@ def build_parser() -> argparse.ArgumentParser:
     execution = argparse.ArgumentParser(add_help=False)
     execution.add_argument(
         "--jobs", type=int, default=None,
-        help="worker processes for clustering restarts and Phase-2 "
-             "page analysis (default 1 = serial, 0 = one per core)",
+        help="worker processes for clustering restarts, started only "
+             "when the restarts outweigh a pool start (probe and crawl: "
+             "concurrent fetches; fleet: sites in flight; default 1 = "
+             "serial, 0 = one per core)",
     )
     execution.add_argument(
         "--cache-dir", default=None, dest="cache_dir",

@@ -56,17 +56,19 @@ class ExecutionConfig:
     """How the pipeline computes: parallelism, caching, recovery.
 
     One object answers the *how* questions every stage used to answer
-    separately: how many worker processes fan restarts and per-page
-    Phase-2 analysis out (``n_jobs``), whether expensive intermediates
+    separately: how many worker processes clustering restarts may fan
+    out over (``n_jobs``), whether expensive intermediates
     persist across *processes* in an on-disk artifact store
     (``cache_dir`` / ``artifact_cache`` — :mod:`repro.artifacts`), and
     how failed fan-out chunks and slow stages are handled. Every
     compute entry point takes one as its ``execution`` argument.
     """
 
-    #: Worker processes for restart fan-out and Phase-2 per-page
-    #: analysis: 1 = serial (default), N > 1 = that many processes,
-    #: 0 = one per available core.
+    #: Worker processes for clustering restarts: 1 = serial (default),
+    #: N > 1 = up to that many processes, 0 = one per available core.
+    #: Restarts fan out only when timing one says the others would
+    #: save more than a pool start (:func:`repro.runtime.run_restarts`);
+    #: Phase-2 page analysis always runs in the driving process.
     n_jobs: int = 1
     #: Root directory of the persistent artifact store. ``None`` defers
     #: to the ``REPRO_CACHE_DIR`` environment variable; with neither

@@ -23,18 +23,17 @@ tokenized and stemmed once; a tag node's counts are its children's
 counts summed in document order. That equals extracting
 ``node.text()`` afresh, insertion order included, because ``text()``
 joins the content nodes with a space and no token contains one. A
-caller-owned stem memo (one worker chunk, one cluster call) stems each
-distinct word once.
+caller-owned stem memo (one cluster call) stems each distinct word
+once.
 
 Two output forms exist. :func:`candidate_subtrees` returns live
 :class:`~repro.html.tree.TagNode` handles into the page tree (the
 wrapper uses it). :func:`candidate_records_for_cluster` — the form
 Phase 2 runs on — turns the same candidates into node-free
 :class:`CandidateRecord` values (paths, shape quadruples, subtree term
-counts, sibling shapes) that pickle across process boundaries and
-serialize into the artifact cache; the records carry everything
-downstream Phase-2 steps read from a node. Both apply one set of
-pruning rules (:func:`_keeps`).
+counts, sibling shapes) that serialize into the artifact cache; the
+records carry everything downstream Phase-2 steps read from a node.
+Both apply one set of pruning rules (:func:`_keeps`).
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from repro.config import ExecutionConfig, resolve_cache_dir, resolve_n_jobs
+from repro.config import ExecutionConfig
 from repro.core.page import Page
 from repro.html.paths import child_steps
 from repro.html.tree import TagNode
@@ -161,7 +160,7 @@ def candidate_subtrees_for_cluster(
 
 
 # ---------------------------------------------------------------------------
-# Node-free candidate records (parallel + cacheable form)
+# Node-free candidate records (the cacheable form)
 # ---------------------------------------------------------------------------
 
 
@@ -176,8 +175,8 @@ class CandidateRecord:
     counts under the default extractor (dict insertion order is
     load-bearing: it fixes vocabulary column order in the TFIDF
     ranking), and the shapes of the member's DOM siblings (the
-    repeating-unit check in selection). Records pickle across process
-    boundaries and round-trip through JSON losslessly.
+    repeating-unit check in selection). Records round-trip through
+    JSON losslessly.
     """
 
     #: Path expression from the page root (the quadruple's P).
@@ -294,31 +293,25 @@ def _payloads_to_records(payload) -> Optional[list[CandidateRecord]]:
     return records
 
 
-def _records_for_html(
-    store,
-    html: str,
-    require_branching: bool,
-    page: Optional[Page] = None,
-    stems: Optional[dict[str, str]] = None,
+def _page_records(
+    store, page: Page, require_branching: bool, stems: dict[str, str]
 ) -> list[CandidateRecord]:
     """Candidate records for one page, through the artifact cache.
 
-    On a cache miss the page is parsed once (or an already-parsed
-    ``page`` is reused) and both the records and the parsed tree are
-    persisted — the tree saves the re-parse when a warm run later
-    resolves winner paths back to nodes.
+    On a cache miss the records come from the page's own tree (the
+    quarantine scan's, or parsed here) and both the records and the
+    tree are persisted — the tree saves the re-parse when a warm run
+    later resolves winner paths back to nodes.
     """
     from repro.artifacts.keys import candidate_records_key
     from repro.artifacts.store import KIND_RECORDS
 
     key = None
     if store is not None:
-        key = candidate_records_key(html, require_branching)
+        key = candidate_records_key(page.html, require_branching)
         cached = _payloads_to_records(store.get_json(KIND_RECORDS, key))
         if cached is not None:
             return cached
-    if page is None:
-        page = Page(html)
     records = page_candidate_records(page, require_branching, stems)
     if store is not None:
         from repro.artifacts.pages import put_tree
@@ -326,41 +319,8 @@ def _records_for_html(
         store.put_json(
             KIND_RECORDS, key, [record_to_payload(r) for r in records]
         )
-        put_tree(store, html, page.tree)
+        put_tree(store, page.html, page.tree)
     return records
-
-
-def _records_worker(payload, htmls: Sequence[str]) -> list[list[CandidateRecord]]:
-    """Process-pool worker: records for a chunk of page HTML strings,
-    with one stem memo for the chunk."""
-    require_branching, cache_root = payload
-    store = None
-    if cache_root is not None:
-        from repro.runtime import artifact_store_for
-
-        store = artifact_store_for(ExecutionConfig(cache_dir=cache_root))
-    stems: dict[str, str] = {}
-    results = [
-        _records_for_html(store, html, require_branching, stems=stems)
-        for html in htmls
-    ]
-    if store is not None:
-        store.flush_stats()
-    return results
-
-
-def _columnar_records_worker(payload, htmls: Sequence[str]) -> bytes:
-    """Process-pool worker returning its chunk as columnar npz bytes.
-
-    Same computation as :func:`_records_worker`; only the wire format
-    differs — the chunk's record lists are packed into one compressed
-    column bundle (:mod:`repro.core.columnar`), cutting per-worker
-    serialized bytes by roughly an order of magnitude versus pickling
-    the record objects.
-    """
-    from repro.core.columnar import pack_records
-
-    return pack_records(_records_worker(payload, htmls))
 
 
 def candidate_records_for_cluster(
@@ -368,33 +328,18 @@ def candidate_records_for_cluster(
     require_branching: bool = False,
     execution: Optional[ExecutionConfig] = None,
 ) -> list[list[CandidateRecord]]:
-    """Single-page analysis as records, parallel and cache-backed.
+    """Single-page analysis as records, in this process, cache-backed.
 
-    With ``execution.n_jobs > 1`` the cluster's pages fan out over a
-    process pool (each worker ships only HTML strings and returns
-    node-free records packed into columnar npz bytes, see
-    :mod:`repro.core.columnar`); with a configured cache
-    directory each page's records are served from — or published to —
-    the persistent store. Output order follows ``pages``, and per-page
-    record order is the document order of :func:`candidate_subtrees`.
-    The pages of a cluster share most of their words, so one stem memo
-    serves the whole call (or each worker's chunk).
+    Each page's records come from its own tree — in a run, the tree
+    the quarantine scan already parsed — or, with a configured cache
+    directory, from the persistent store, where a miss publishes them.
+    Output order follows ``pages``, and per-page record order is the
+    document order of :func:`candidate_subtrees`. The pages of a
+    cluster share most of their words, so one stem memo serves the
+    whole call. ``execution.n_jobs`` does not apply: a worker would
+    re-parse each page and ship its records back, which costs more
+    than the whole pass does here (DESIGN.md §10).
     """
-    n_jobs = resolve_n_jobs(execution)
-    cache_root = resolve_cache_dir(execution)
-    if n_jobs > 1 and len(pages) > 1:
-        from repro.core.columnar import unpack_records
-        from repro.runtime import run_chunked
-
-        return run_chunked(
-            _columnar_records_worker,
-            (require_branching, cache_root),
-            [page.html for page in pages],
-            n_jobs,
-            label="phase2-records",
-            execution=execution,
-            unpack=unpack_records,
-        )
     from repro.runtime import artifact_store_for
 
     # Without a store nothing is hashed: records come from the page's
@@ -402,6 +347,6 @@ def candidate_records_for_cluster(
     store = artifact_store_for(execution)
     stems: dict[str, str] = {}
     return [
-        _records_for_html(store, page.html, require_branching, page, stems)
+        _page_records(store, page, require_branching, stems)
         for page in pages
     ]

@@ -551,8 +551,8 @@ class Thor:
     def artifact_stats(self) -> Optional[dict]:
         """This process's artifact-cache counters (``None`` if off).
 
-        Counts cover the driving process (worker processes flush their
-        own counters straight into the store's persistent ledger).
+        Counts cover every publish of the run: Phase-2 page analysis
+        runs in this process, and restart workers publish nothing.
         """
         store = artifact_store_for(self.execution)
         if store is None:

@@ -67,6 +67,10 @@ class SimulatedWeb:
         for index in range(1, n_pages):
             kinds.append("hub" if rng.random() < 0.2 else "leaf")
         portal_candidates = [i for i, k in enumerate(kinds) if k == "leaf"]
+        if len(portal_candidates) < n_portals:
+            # A small web can draw fewer leaves than portals; then any
+            # page but the seed may host one.
+            portal_candidates = list(range(1, n_pages))
         portal_pages = rng.sample(portal_candidates, n_portals)
         for site_index, page in enumerate(portal_pages):
             kinds[page] = "portal"

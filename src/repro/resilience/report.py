@@ -51,9 +51,9 @@ class RunReport:
     #: Cross-process transport accounting, by fan-out label:
     #: ``label → {"chunks", "bytes_sent", "bytes_received"}``. Sent is
     #: the pickled (payload, chunk) shipped to each worker; received
-    #: is the chunk result's wire size (npz bytes for the columnar
-    #: record transport, pickle size otherwise). Inline and
-    #: serial-fallback execution cross no boundary and count nothing.
+    #: is the pickled chunk result. Only pool chunks count: inline work
+    #: (restarts too cheap to fan out, Phase-2 page analysis) and
+    #: serial fallbacks cross no boundary and count nothing.
     transport: dict = field(default_factory=dict)
     #: Incremental re-extraction accounting (``kind → count``), empty
     #: unless the run opted in via ``RunOptions(incremental=True)``:

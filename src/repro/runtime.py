@@ -11,16 +11,25 @@ store + recovery policy) and provides the shared machinery:
   independent, namespaced stream per restart makes each restart a pure
   function of ``(data, restart_seed)``, so a fan-out across processes
   is *bitwise identical* to the serial loop.
-- **Chunked process fan-out** (:func:`run_restarts`): restarts are
-  split into ``n_jobs`` contiguous chunks, each chunk runs in one
-  worker of a :class:`~concurrent.futures.ProcessPoolExecutor` (the
-  collection is pickled once per worker, not once per restart), and
-  results come back in restart order so best-of selection reduces
-  exactly like the serial loop. Environments where process pools are
-  unavailable fall back to inline execution, and failed chunks
-  (crashed workers, chunk exceptions) are retried and then degraded to
-  in-process serial execution — see the worker-crash-recovery notes on
-  :func:`run_chunked` and DESIGN.md §11.
+- **Chunked process fan-out** (:func:`run_chunked`): items are split
+  into ``n_jobs`` contiguous chunks, each chunk runs in one worker of
+  a :class:`~concurrent.futures.ProcessPoolExecutor` (the payload is
+  pickled once per worker, not once per item), and results come back
+  in item order. Environments where process pools are unavailable
+  fall back to inline execution, and failed chunks (crashed workers,
+  chunk exceptions) are retried and then degraded to in-process
+  serial execution — see the worker-crash-recovery notes on
+  :func:`run_chunked` and DESIGN.md §11. The fleet's site fan-out
+  calls it directly.
+- **Restarts fan out only when that pays** (:func:`run_restarts`):
+  one restart runs inline and is timed in thread CPU time; the others
+  go to a pool only when the time they would save over ``n_jobs``
+  workers exceeds :data:`POOL_START_S` (:func:`fan_out_pays`).
+  Results return in restart order either way, so best-of selection
+  reduces exactly like the serial loop. Phase-2
+  per-page analysis never fans out: it runs in the driving process on
+  the trees the quarantine scan already parsed, which costs less per
+  page than a worker's re-parse and the result's trip back.
 - **Keyed vector-space cache** (:func:`cached_weighted_space`): the
   k-sensitivity sweeps re-cluster the *same* collection dozens of
   times with different k/restart settings; interning the collection
@@ -38,6 +47,7 @@ stage drivers, and the CLI ``--jobs`` / ``--cache-dir`` flags.
 from __future__ import annotations
 
 import random
+import time
 from collections import OrderedDict
 from typing import Any, Callable, Mapping, Optional, Sequence, Tuple, Union
 
@@ -102,14 +112,8 @@ def _chunk_offsets(chunks: Sequence[Sequence[Any]]) -> list[int]:
 
 
 def _transport_bytes(value: Any) -> int:
-    """Serialized size of one cross-process value, in bytes.
-
-    ``bytes`` payloads (columnar record bundles) are already on the
-    wire format; anything else is measured as its pickle — exactly
-    what the process pool ships.
-    """
-    if isinstance(value, (bytes, bytearray)):
-        return len(value)
+    """Pickled size of one cross-process value, in bytes: exactly what
+    the process pool ships."""
     import pickle
 
     try:
@@ -126,19 +130,18 @@ def run_chunked(
     *,
     label: str = "chunked",
     execution: Optional[ExecutionConfig] = None,
-    unpack: Optional[Callable[[Any], list]] = None,
 ) -> list:
     """Run ``worker(payload, chunk)`` over all items, possibly across
     processes, returning per-item results in item order.
 
     ``worker`` must be a module-level (picklable) function that maps a
     chunk of items to one result per item, in order; items must pickle
-    (restart seed materials, page HTML strings). With ``n_jobs <= 1``
+    (restart seed materials, fleet site specs). With ``n_jobs <= 1``
     (or a single item) everything runs inline; a pool that cannot
     start (sandboxes without process support) also degrades to inline
-    execution rather than failing the computation. Chunking is
-    contiguous, so concatenating the chunk results reproduces the
-    serial output order exactly.
+    execution rather than failing the computation, and counts neither
+    a retry nor a fallback. Chunking is contiguous, so concatenating
+    the chunk results reproduces the serial output order exactly.
 
     **Worker-crash recovery.** A chunk whose worker dies
     (``BrokenProcessPool``) or raises is retried in a fresh pool up to
@@ -155,37 +158,22 @@ def run_chunked(
     :class:`~repro.resilience.faults.FaultPlan` may inject
     deterministic chunk faults here (chaos tests).
 
-    **Packed transport.** With ``unpack`` given, the worker may return
-    its chunk's results in a packed wire form (e.g. columnar npz
-    bytes — :mod:`repro.core.columnar`) instead of a plain list;
-    ``unpack`` converts one chunk value back to the per-item result
-    list on this side of the process boundary. It is applied on every
-    path — pool, inline degrade, and serial fallback — so a worker
-    never needs to know where it ran.
-
     **Transport accounting.** When a run report is active, every
-    successful pool chunk records its serialized payload size (what
-    was pickled *to* the worker) and result size (bytes for packed
-    transports, pickle size otherwise) under ``label`` — the
-    ``--report`` CLI output and :mod:`benchmarks.bench_extraction`
-    read these to keep transport-cost regressions visible. Inline and
-    serial-fallback execution cross no process boundary and count
-    nothing.
+    successful pool chunk records its pickled payload size (what was
+    shipped *to* the worker) and result size under ``label`` — the
+    ``--report`` CLI output prints them. Inline and serial-fallback
+    execution cross no process boundary and count nothing.
     """
     items = list(items)
     if n_jobs <= 1 or len(items) <= 1:
-        result = worker(payload, items)
-        return list(unpack(result)) if unpack is not None else result
+        return worker(payload, items)
     if execution is None:
         execution = ExecutionConfig()
     recovery = execution.recovery == "on"
     chunks = _chunks(items, n_jobs)
     offsets = _chunk_offsets(chunks)
-    try:
-        import concurrent.futures
-    except ImportError:  # pragma: no cover - stdlib always present
-        result = worker(payload, items)
-        return list(unpack(result)) if unpack is not None else result
+    import concurrent.futures
+
     from repro.resilience.faults import active_fault_plan
     from repro.resilience.report import current_report
 
@@ -211,8 +199,6 @@ def run_chunked(
                 )
             delay = policy.backoff_delay(label, attempt - 1)
             if delay > 0:
-                import time
-
                 time.sleep(delay)
         try:
             with concurrent.futures.ProcessPoolExecutor(
@@ -246,9 +232,14 @@ def run_chunked(
                             received=_transport_bytes(results[index]),
                         )
                 pending = still_failed
-        except (OSError, PermissionError):  # pragma: no cover
-            # Process pools need /dev/shm semaphores and fork/spawn
-            # rights; degrade to the (identical) serial computation.
+        except OSError:
+            # No pool could start: process pools need /dev/shm
+            # semaphores and fork/spawn rights. Nothing has failed
+            # yet on the first attempt, so the whole computation runs
+            # inline, as at n_jobs=1; chunks that already failed in
+            # an earlier attempt take the counted serial fallback.
+            if attempt == 1:
+                return worker(payload, items)
             break
         if not pending:
             break
@@ -283,12 +274,40 @@ def run_chunked(
                 ) from exc
             if report is not None:
                 report.count_serial_fallback()
-    flattened: list = []
-    for batch in results:
-        if unpack is not None:
-            batch = unpack(batch)
-        flattened.extend(batch)
-    return flattened
+    return [result for batch in results for result in batch]
+
+
+#: What a process pool costs before it saves anything: starting two
+#: workers, running one small task on each and shutting the pool down
+#: took ~14 ms on a 2-vCPU KVM host. Restarts fan out only when they
+#: would save more than this (:func:`fan_out_pays`). The figure holds
+#: for fork-started pools of two workers only: the cost of more
+#: workers (``n_jobs=0`` on a many-core host), of a payload pickled
+#: once per worker, and of the spawn or forkserver start methods is
+#: unmeasured, and the rule does not scale the constant for them.
+POOL_START_S = 0.014
+
+
+def fan_out_pays(remaining: int, restart_s: float, n_jobs: int) -> bool:
+    """Whether ``remaining`` restarts that each cost ``restart_s`` CPU
+    seconds save more than one pool start when spread over ``n_jobs``
+    workers (at most one worker per restart).
+
+    Spread ideally over ``w`` workers, ``remaining × restart_s`` of
+    serial work takes ``1/w`` of the time, so the saving is
+    ``remaining × restart_s × (1 − 1/w)``.
+
+    >>> fan_out_pays(9, 0.0004, 2)   # cheap K-Means restarts stay inline
+    False
+    >>> fan_out_pays(63, 0.023, 2)   # heavy ones fan out
+    True
+    >>> fan_out_pays(1, 10.0, 8)     # one restart has nothing to share
+    False
+    """
+    workers = min(n_jobs, remaining)
+    if workers <= 1:
+        return False
+    return remaining * restart_s * (1 - 1 / workers) > POOL_START_S
 
 
 def run_restarts(
@@ -300,10 +319,29 @@ def run_restarts(
     label: str = "restarts",
     execution: Optional[ExecutionConfig] = None,
 ) -> list:
-    """Restart fan-out: :func:`run_chunked` over per-restart seeds."""
-    return run_chunked(
-        worker, payload, seeds, n_jobs, label=label, execution=execution
-    )
+    """Restart fan-out that starts a pool only when it pays.
+
+    With ``n_jobs > 1`` the last restart runs inline first and is
+    timed in thread CPU time (``time.thread_time``), which host steal
+    and other processes cannot inflate. The other restarts go to
+    :func:`run_chunked` when :func:`fan_out_pays` says the pool saves
+    more than it costs, and run inline otherwise. The fanned-out
+    restarts are the first ones, so a :class:`ChunkFailedError`'s
+    ``indices`` are restart indices as they stand. Results come back
+    in restart order on every path.
+    """
+    seeds = list(seeds)
+    if n_jobs <= 1 or len(seeds) <= 1:
+        return worker(payload, seeds)
+    started = time.thread_time()
+    last = worker(payload, seeds[-1:])
+    restart_s = time.thread_time() - started
+    rest = seeds[:-1]
+    if fan_out_pays(len(rest), restart_s, n_jobs):
+        return run_chunked(
+            worker, payload, rest, n_jobs, label=label, execution=execution
+        ) + last
+    return worker(payload, rest) + last
 
 
 def select_best(results: Sequence, better: Callable[[Any, Any], bool]):
@@ -427,11 +465,13 @@ def clear_space_cache() -> None:
 
 __all__ = [
     "ExecutionConfig",
+    "POOL_START_S",
     "SeedMaterial",
     "artifact_store_for",
     "cached_weighted_space",
     "clear_artifact_store_registry",
     "clear_space_cache",
+    "fan_out_pays",
     "resolve_cache_dir",
     "resolve_n_jobs",
     "restart_seed_streams",

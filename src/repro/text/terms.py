@@ -36,7 +36,7 @@ class TermExtractor:
         """Extract terms from raw text.
 
         ``stems`` is a word → stem memo that the caller owns and scopes
-        (one run, one worker chunk); without one the call keeps its
+        (one run, one cluster call); without one the call keeps its
         own. It changes how often :func:`porter_stem` runs, never what
         a call returns.
 

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import runtime
 from repro.cluster.editdist import normalized_levenshtein
 from repro.cluster.hierarchical import AverageLinkClusterer
 from repro.cluster.kmeans import KMeans
@@ -34,6 +35,7 @@ from repro.core.subtree_sets import (
     shape_distance_matrix,
 )
 from repro.html.metrics import SubtreeShape
+from repro.resilience import RunReportBuilder, activate_report
 from repro.vsm.centroid import centroid
 from repro.vsm.matrix import (
     VectorSpace,
@@ -405,10 +407,27 @@ class TestTreeEditEquivalence:
         assert 0.0 <= npy <= 1.0
 
 
+def fit_in_pool(clusterer, data, label: str):
+    """``clusterer.fit(data)``, failing unless restarts went through a
+    process pool (the run report counts their chunks)."""
+    report = RunReportBuilder()
+    with activate_report(report):
+        result = clusterer.fit(data)
+    assert report.build().transport[label]["chunks"] > 0
+    return result
+
+
 class TestParallelEquivalence:
     """Seeded restart fan-out must be bitwise identical to the serial
     loop: per-restart seed streams make each restart a pure function of
     (data, restart seed), so the execution plan cannot change labels."""
+
+    @pytest.fixture(autouse=True)
+    def restarts_always_fan_out(self, monkeypatch):
+        # These fits take microseconds per restart, far below a pool
+        # start, so the restart rule would keep them inline; a free
+        # pool sends every n_jobs > 1 fit's restarts through one.
+        monkeypatch.setattr(runtime, "POOL_START_S", 0.0)
 
     @pytest.mark.parametrize(
         "kmeans", [OracleKMeans, KMeans], ids=["python", "numpy"]
@@ -418,7 +437,9 @@ class TestParallelEquivalence:
             vectors = random_vectors(seed, 14, allow_zero=True)
             kwargs = dict(k=3, restarts=6, seed=seed)
             serial = kmeans(n_jobs=1, **kwargs).fit(vectors)
-            parallel = kmeans(n_jobs=2, **kwargs).fit(vectors)
+            parallel = fit_in_pool(
+                kmeans(n_jobs=2, **kwargs), vectors, "kmeans"
+            )
             assert parallel.clustering.labels == serial.clustering.labels
             assert parallel.internal_similarity == serial.internal_similarity
             assert parallel.iterations == serial.iterations
@@ -439,7 +460,9 @@ class TestParallelEquivalence:
             seed=5,
         )
         serial = kmedoids(n_jobs=1, **kwargs).fit(urls)
-        parallel = kmedoids(n_jobs=3, **kwargs).fit(urls)
+        parallel = fit_in_pool(
+            kmedoids(n_jobs=3, **kwargs), urls, "kmedoids"
+        )
         assert parallel.clustering.labels == serial.clustering.labels
         assert parallel.medoid_indices == serial.medoid_indices
         assert parallel.total_distance == serial.total_distance
@@ -463,9 +486,15 @@ class TestParallelEquivalence:
         # Inline path (n_jobs=1) keeps seed order.
         results = run_restarts(_echo_worker, None, ["a", "b", "c"], n_jobs=1)
         assert results == ["a", "b", "c"]
-        # Fanned-out path flattens chunk results back into seed order.
-        results = run_restarts(_echo_worker, None, list("abcde"), n_jobs=2)
+        # Fanned-out path (one restart inline, four over two workers)
+        # flattens chunk results back into seed order.
+        report = RunReportBuilder()
+        with activate_report(report):
+            results = run_restarts(
+                _echo_worker, None, list("abcde"), n_jobs=2, label="echo"
+            )
         assert results == list("abcde")
+        assert report.build().transport["echo"]["chunks"] == 2
 
 
 def _echo_worker(payload, seeds):

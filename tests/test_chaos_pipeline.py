@@ -22,6 +22,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from repro import runtime
 from repro.config import ExecutionConfig, ProbeConfig, RunOptions, ThorConfig
 from repro.core.page import Page
 from repro.core.thor import Thor
@@ -125,7 +126,13 @@ class TestQuarantineDegradation:
 
 class TestChaosDigestInvariant:
     @pytest.mark.parametrize("domain", ["jobs", "movies"])
-    def test_recoverable_faults_keep_digest_identical(self, domain, tmp_path):
+    def test_recoverable_faults_keep_digest_identical(
+        self, domain, tmp_path, monkeypatch
+    ):
+        # A site run's only pool is its K-Means restart fan-out, which
+        # the restart rule keeps inline for a site this small; a free
+        # pool start sends the restarts out, so worker faults can land.
+        monkeypatch.setattr(runtime, "POOL_START_S", 0.0)
         # Fault-free serial reference.
         reference = Thor(ThorConfig(seed=5)).run(
             make_site(domain, seed=5, records=60)
@@ -144,13 +151,13 @@ class TestChaosDigestInvariant:
         result = thor.run(make_site(domain, seed=5, records=60))
         assert result_digest(result) == result_digest(reference)
         report = thor.report()
-        # The plan really injected faults, and the report accounts for
-        # them: every worker-level fault implies recovery activity.
-        assert sum(report.faults_injected.values()) > 0
+        # The plan really injected worker-level faults and torn writes,
+        # and the report accounts for them as recovery activity.
         worker_level = report.faults_injected.get("worker_crash", 0) + \
             report.faults_injected.get("chunk_error", 0)
-        if worker_level:
-            assert report.chunk_retries + report.serial_fallbacks > 0
+        assert worker_level > 0
+        assert report.faults_injected.get("artifact_corrupt", 0) > 0
+        assert report.chunk_retries + report.serial_fallbacks > 0
         assert not report.quarantined
 
     def test_injected_page_faults_degrade_to_survivor_run(self):
@@ -402,3 +409,10 @@ class TestIncrementalChaos:
         thor = Thor(config, fault_plan=plan)
         result = thor.refresh(mutated)
         assert result_digest(result) == result_digest(reference)
+        # The drifted pages are assigned to the stored clusters, so the
+        # refresh refits nothing and starts no pool: only torn writes
+        # can land, and they are absorbed.
+        report = thor.report()
+        assert report.incremental.get("assigned", 0) == 3
+        assert report.transport == {}
+        assert report.faults_injected.get("artifact_corrupt", 0) > 0

@@ -1,20 +1,14 @@
-"""Cold-path kernel equivalence: batched distances, columnar transport.
+"""Cold-path kernel equivalence: batched distances.
 
-Two families of invariants, all bitwise:
-
-- the batched **editdist** kernel and the vectorized **quad**ruple
-  distance matrices equal the scalar python oracles element for
-  element (hypothesis-driven, plus all seven synthetic domains and the
-  NaN/empty-path edges);
-- columnar record transport round-trips records value-for-value and
-  produces the serial path's records from a process fan-out, at a
-  fraction of the bytes the pickled records would take.
+The batched **editdist** kernel and the vectorized **quad**ruple
+distance matrices equal the scalar python oracles element for element,
+bitwise (hypothesis-driven, plus all seven synthetic domains and the
+NaN/empty-path edges).
 """
 
 from __future__ import annotations
 
 import math
-import pickle
 
 import pytest
 
@@ -25,10 +19,7 @@ from repro.cluster.editdist import (
     normalized_levenshtein,
 )
 from repro.config import ExecutionConfig
-from repro.core.single_page import (
-    CandidateRecord,
-    candidate_records_for_cluster,
-)
+from repro.core.single_page import candidate_records_for_cluster
 from repro.core.subtree_sets import (
     SubtreeCandidate,
     clear_quad_matrix_memo,
@@ -258,83 +249,3 @@ class TestQuadMatrixMemo:
         assert ExecutionConfig(distance_memo_entries=0).distance_memo_entries == 0
         with pytest.raises(ValueError, match="distance_memo_entries"):
             ExecutionConfig(distance_memo_entries=-1)
-
-
-# ---------------------------------------------------------------------------
-# Columnar record transport
-# ---------------------------------------------------------------------------
-
-
-class TestColumnarTransport:
-    @pytest.mark.parametrize("domain", ALL_DOMAINS)
-    def test_columnar_round_trip_is_exact(self, domain):
-        from repro.core.columnar import pack_records, unpack_records
-
-        records = candidate_records_for_cluster(cluster_pages(domain, n=6))
-        assert unpack_records(pack_records(records)) == records
-
-    def test_columnar_round_trip_edges(self):
-        from repro.core.columnar import pack_records, unpack_records
-
-        empty_record = CandidateRecord(
-            path="",
-            tags=(),
-            fanout=0,
-            depth=0,
-            nodes=1,
-            term_counts={},
-            siblings=(),
-        )
-        for edge in ([], [[]], [[], []], [[empty_record]], [[], [empty_record]]):
-            assert unpack_records(pack_records(edge)) == edge
-
-    def test_columnar_decodes_to_native_python_types(self):
-        from repro.core.columnar import pack_records, unpack_records
-
-        records = candidate_records_for_cluster(cluster_pages("jobs", n=3))
-        [decoded] = unpack_records(pack_records([records[0]]))
-        record = decoded[0]
-        assert type(record.path) is str
-        assert all(type(tag) is str for tag in record.tags)
-        assert type(record.fanout) is int
-        for term, count in record.term_counts.items():
-            assert type(term) is str and type(count) is int
-
-    def test_columnar_preserves_term_insertion_order(self):
-        from repro.core.columnar import pack_records, unpack_records
-
-        records = candidate_records_for_cluster(cluster_pages("travel", n=4))
-        decoded = unpack_records(pack_records(records))
-        for page_records, decoded_records in zip(records, decoded):
-            for record, back in zip(page_records, decoded_records):
-                assert list(back.term_counts) == list(record.term_counts)
-
-    def test_columnar_beats_pickle_bytes(self):
-        from repro.core.columnar import pack_records
-
-        records = candidate_records_for_cluster(cluster_pages("library", n=8))
-        pickled = len(pickle.dumps(records, pickle.HIGHEST_PROTOCOL))
-        packed = len(pack_records(records))
-        assert packed * 3 < pickled  # conservative floor; typically ~8x
-
-    def test_columnar_and_pickle_fanouts_agree(self):
-        from repro.resilience.report import RunReportBuilder, activate_report
-
-        pages = cluster_pages("ecommerce", n=8)
-        serial = candidate_records_for_cluster(pages)
-        builder = RunReportBuilder()
-        with activate_report(builder):
-            fanned = candidate_records_for_cluster(
-                pages, execution=ExecutionConfig(n_jobs=2)
-            )
-        assert fanned == serial
-        entry = builder.build().transport["phase2-records"]
-        assert entry["chunks"] == 2
-        assert entry["bytes_sent"] > 0
-        # What pickling the same records back from the two workers
-        # would have shipped.
-        pickled = sum(
-            len(pickle.dumps(chunk, pickle.HIGHEST_PROTOCOL))
-            for chunk in (serial[:4], serial[4:])
-        )
-        assert entry["bytes_received"] * 3 < pickled

@@ -135,6 +135,14 @@ class TestBreadthFirstCrawler:
         assert len(report.forms) == 4
         assert len({d.form.action for d in report.forms}) == 4
 
+    def test_small_web_with_too_few_leaves_places_every_portal(self):
+        # This seed draws fewer leaves than portals for a 5-page web;
+        # building it used to raise from random.sample.
+        web = SimulatedWeb(n_pages=5, n_portals=2, seed=6465)
+        kinds = [spec.kind for spec in web._specs]
+        assert kinds.count("portal") == 2
+        assert kinds[0] == "hub"
+
 
 class TestSeedDeterminism:
     @settings(max_examples=10, deadline=None)

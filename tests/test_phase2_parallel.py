@@ -1,11 +1,13 @@
-"""Bitwise-equivalence tests for the parallel, cache-backed Phase 2.
+"""Bitwise-equivalence tests for the cache-backed Phase 2.
 
-Phase 2 runs on node-free candidate records. The hard invariant under
-test: records fanned out over processes and round-tripped through the
-persistent artifact store produce *bitwise identical* extraction
-output to the plain serial, storeless run — parallel == serial,
-store == storeless and warm == cold, on every deep-web domain. The
-records themselves must replay what the live DOM would decide.
+Phase 2 runs on node-free candidate records, built in the driving
+process at any ``n_jobs``. The hard invariant under test: records
+round-tripped through the persistent artifact store produce *bitwise
+identical* extraction output to the plain serial, storeless run —
+``n_jobs=2`` == serial, store == storeless and warm == cold, on every
+deep-web domain — and processes publishing into one store concurrently
+(fleet workers do) leave it exact. The records themselves must replay
+what the live DOM would decide.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import ExecutionConfig, SubtreeConfig
 from repro.core.identification import PageletIdentifier
+from repro.core.page import Page
 from repro.core.selection import _has_similar_dom_siblings
 from repro.core.single_page import (
     candidate_records_for_cluster,
@@ -213,6 +216,19 @@ class TestBitwiseEquivalence:
         assert warm == baseline
 
 
+def _publishing_records_worker(cache_root, htmls):
+    """Process-pool worker: records for a chunk of pages through the
+    store at ``cache_root``, publishing every miss."""
+    from repro.runtime import artifact_store_for
+
+    execution = ExecutionConfig(cache_dir=cache_root)
+    records = candidate_records_for_cluster(
+        [Page(html) for html in htmls], execution=execution
+    )
+    artifact_store_for(execution).flush_stats()
+    return records
+
+
 class TestConcurrentWriters:
     def test_two_workers_race_on_the_same_keys(self, tmp_path):
         """Two processes publishing the same artifacts concurrently.
@@ -221,7 +237,6 @@ class TestConcurrentWriters:
         race to publish every key. Last-writer-wins atomic publishes
         mean the store stays readable and the records stay exact.
         """
-        from repro.core.single_page import _records_worker
         from repro.runtime import run_chunked
 
         pages = cluster_pages("library", n=6)
@@ -230,8 +245,8 @@ class TestConcurrentWriters:
         # Duplicate the whole page list: chunking over 2 workers gives
         # each worker one full copy, racing on every key.
         doubled = run_chunked(
-            _records_worker,
-            (False, str(tmp_path)),
+            _publishing_records_worker,
+            str(tmp_path),
             htmls + htmls,
             2,
         )

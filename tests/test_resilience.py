@@ -150,6 +150,30 @@ class TestChunkRecovery:
             )
         assert isinstance(excinfo.value.__cause__, ValueError)
 
+    @pytest.mark.parametrize("recovery", ["off", "on"])
+    def test_pool_that_cannot_start_runs_inline(self, recovery, monkeypatch):
+        # No /dev/shm semaphores or fork rights: building the pool
+        # raises OSError. Nothing failed, so the computation runs
+        # inline as at n_jobs=1 — no ChunkFailedError with recovery
+        # off, no retry or fallback counted with it on.
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no process support")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        report = RunReportBuilder()
+        with activate_report(report):
+            result = run_chunked(
+                _double_worker, 2, list(range(5)), n_jobs=2, label="t",
+                execution=ExecutionConfig(n_jobs=2, recovery=recovery),
+            )
+        assert result == [0, 2, 4, 6, 8]
+        built = report.build()
+        assert (built.chunk_retries, built.serial_fallbacks) == (0, 0)
+        assert not built.recovered
+        assert built.transport == {}
+
     def test_parallel_equals_serial_under_chaos(self):
         serial = _double_worker(7, list(range(9)))
         plan = FaultPlan(seed=3, worker_crash_rate=0.4, chunk_error_rate=0.4)
