@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 
-from conftest import BENCH_SEED, available_cpus, emit, merge_json
+from conftest import BENCH_SEED, emit, merge_json
 from repro.eval.reporting import format_series
 from repro.signatures.registry import get_configuration
 from tests.oracles import registry as oracle_registry
@@ -146,190 +146,3 @@ def test_fig05_backend_speedup(corpus, capsys):
     emit(capsys, "fig05_backend_speedup", "\n".join(lines))
 
     assert payload["configs"]["ttag"]["speedup"] >= SPEEDUP_FLOOR
-
-
-#: Restarts for the parallel-fan-out bench. One restart of this
-#: workload costs ~20 ms of CPU, so the other 63 clear
-#: ``runtime.fan_out_pays`` by far (a pool start, two tasks and the
-#: shutdown cost ~14 ms on a 2-vCPU host) and really fan out.
-PARALLEL_RESTARTS = int(os.environ.get("REPRO_BENCH_PARALLEL_RESTARTS", "64"))
-
-#: Wall-clock floor asserted for the n_jobs=2 restart fan-out — only
-#: meaningful with at least two cores; single-core machines record the
-#: honest (≈1×) number and assert a sanity floor instead.
-PARALLEL_FLOOR = float(os.environ.get("REPRO_BENCH_PARALLEL_FLOOR", "1.2"))
-
-
-def _time_restart_fanout(kmeans_class, vectors, restarts: int, rounds: int):
-    """Best-of-``rounds`` wall time of a seeded ``kmeans_class`` fit at
-    ``n_jobs=1`` and ``n_jobs=2``, and the number of worker chunks the
-    ``n_jobs=2`` fits sent to a pool; asserts that both fits agree.
-
-    The two settings alternate round by round, so a drift in host load
-    falls on both rather than on whichever ran second.
-    """
-    import time
-
-    from repro.resilience import RunReportBuilder, activate_report
-
-    models = {
-        n_jobs: kmeans_class(
-            n_jobs=n_jobs, k=4, restarts=restarts, seed=BENCH_SEED
-        )
-        for n_jobs in (1, 2)
-    }
-    timings = {1: float("inf"), 2: float("inf")}
-    results = {}
-    report = RunReportBuilder()
-    for round_index in range(rounds):
-        for n_jobs in (1, 2) if round_index % 2 == 0 else (2, 1):
-            started = time.perf_counter()
-            with activate_report(report):
-                results[n_jobs] = models[n_jobs].fit(vectors)
-            timings[n_jobs] = min(
-                timings[n_jobs], time.perf_counter() - started
-            )
-
-    # The execution plan must not change the seeded outcome.
-    assert results[2].clustering.labels == results[1].clustering.labels
-    assert results[2].internal_similarity == results[1].internal_similarity
-    worker_chunks = report.build().transport.get("kmeans", {}).get("chunks", 0)
-    return timings, worker_chunks
-
-
-def _tcon_vectors(corpus):
-    from repro.signatures.content import content_signature
-    from repro.vsm.weighting import tfidf_vectors
-
-    pages = list(corpus[0].pages)
-    return pages, tfidf_vectors([content_signature(p) for p in pages])
-
-
-def test_fig05_restart_parallelism(corpus, capsys):
-    """Restart fan-out across worker processes on the Figure-5 workload.
-
-    Clusters one site's 110-page sample with TFIDF-content K-Means
-    (the heaviest per-restart kernel of the figure) using the
-    pure-python reference K-Means of ``tests/oracles/``, fanned out
-    through :func:`repro.runtime.run_restarts`, serial vs
-    ``n_jobs=2``, which times one restart inline and fans the others
-    out because they outweigh a pool start (the run report's transport
-    entry must show worker chunks). Per-restart seed streams make the
-    fan-out bitwise identical to the serial loop, which this asserts —
-    the timing entry lands in ``BENCH_clustering.json`` next to the
-    speedups over the reference, with ``cpu_count`` recorded so
-    single-core machines (where two workers time-slice one core) are
-    not read as regressions.
-    """
-    from tests.oracles.kmeans import OracleKMeans
-
-    pages, vectors = _tcon_vectors(corpus)
-    cpu_count = available_cpus()
-    timings, worker_chunks = _time_restart_fanout(
-        OracleKMeans, vectors, PARALLEL_RESTARTS, rounds=2
-    )
-    # Both n_jobs=2 fits really fanned out: two worker chunks each.
-    assert worker_chunks == 4
-
-    speedup = timings[1] / timings[2]
-    merge_json(
-        "BENCH_clustering",
-        {
-            "restart_parallelism": {
-                "configuration": "tcon",
-                "backend": "python",
-                "n_pages": len(pages),
-                "k": 4,
-                "restarts": PARALLEL_RESTARTS,
-                "n_jobs": 2,
-                "cpu_count": cpu_count,
-                "serial_seconds": timings[1],
-                "parallel_seconds": timings[2],
-                "speedup": speedup,
-                "estimator": "min",
-                "labels_identical": True,
-                "worker_chunks": worker_chunks,
-                "note": (
-                    "speedup requires >= 2 available cores; on a "
-                    "single core two workers time-slice and the ratio "
-                    "sits near 1x; n_jobs=2 times one restart inline "
-                    "and fans the other "
-                    f"{PARALLEL_RESTARTS - 1} out over two workers"
-                ),
-            }
-        },
-    )
-    emit(
-        capsys,
-        "fig05_restart_parallelism",
-        f"tcon/python restarts={PARALLEL_RESTARTS} cpus={cpu_count}\n"
-        f"{'serial':<10}{timings[1]:>10.3f}s\n"
-        f"{'n_jobs=2':<10}{timings[2]:>10.3f}s\n"
-        f"{'speedup':<10}{speedup:>10.2f}x",
-    )
-
-    if cpu_count >= 2:
-        assert speedup >= PARALLEL_FLOOR
-    else:
-        # One core: no parallel speedup is possible — assert the fan-out
-        # at least stays within 2x of serial (overhead sanity bound).
-        assert speedup >= 0.5
-
-
-#: Restarts for the shipped-K-Means fan-out. One restart of this
-#: workload costs ~2.3 ms of CPU on a 2-vCPU host, so 63 of them save
-#: ~72 ms over two workers and clear ``runtime.fan_out_pays`` five
-#: times over; fewer would sit near the break-even and make the
-#: fan-out depend on host speed, so this count is not configurable.
-SHIPPED_RESTARTS = 64
-
-
-def test_fig05_shipped_restart_parallelism(corpus, capsys):
-    """The same restart fan-out with the shipped numpy K-Means.
-
-    This is the pool side of the restart rule on shipped code. It
-    records the measured ratio and asserts that every ``n_jobs=2`` fit
-    fanned out, that it matches the serial fit, and the 2× overhead
-    sanity bound, which a worker-side slowdown of the restart kernel
-    breaks (before ``group_sums`` canonicalised the dtype of an
-    unpickled matrix, this read 0.26–0.46×).
-    """
-    from repro.cluster.kmeans import KMeans
-
-    pages, vectors = _tcon_vectors(corpus)
-    cpu_count = available_cpus()
-    timings, worker_chunks = _time_restart_fanout(
-        KMeans, vectors, SHIPPED_RESTARTS, rounds=3
-    )
-    assert worker_chunks == 6  # two per n_jobs=2 fit
-
-    speedup = timings[1] / timings[2]
-    merge_json(
-        "BENCH_clustering",
-        {
-            "shipped_restart_parallelism": {
-                "configuration": "tcon",
-                "backend": "numpy",
-                "n_pages": len(pages),
-                "k": 4,
-                "restarts": SHIPPED_RESTARTS,
-                "n_jobs": 2,
-                "cpu_count": cpu_count,
-                "serial_seconds": timings[1],
-                "parallel_seconds": timings[2],
-                "speedup": speedup,
-                "estimator": "min",
-                "labels_identical": True,
-                "worker_chunks": worker_chunks,
-            }
-        },
-    )
-    emit(
-        capsys,
-        "fig05_shipped_restart_parallelism",
-        f"tcon/numpy restarts={SHIPPED_RESTARTS} cpus={cpu_count}\n"
-        f"{'serial':<10}{timings[1]:>10.3f}s\n"
-        f"{'n_jobs=2':<10}{timings[2]:>10.3f}s\n"
-        f"{'speedup':<10}{speedup:>10.2f}x",
-    )
-    assert speedup >= 0.5

@@ -7,12 +7,13 @@ asserting the fleet invariant along the way: per-site digests are
 bitwise-identical to N sequential ``api.run`` calls, and the resumed
 invocation recomputes nothing.
 
-Archived to ``BENCH_fleet.json``. Sharding speedups are recorded, not
-floored: on a starved runner the sites time-slice one CPU and the
-honest ratio sits near (or below) 1× — the cpu count rides along, like
-BENCH_clustering.json's restart-parallelism entry. The warm-resume
-floor *is* asserted (``REPRO_BENCH_FLEET_RESUME_FLOOR``, default 20×):
-skipping every site must beat recomputing them by a wide margin.
+Archived to ``BENCH_fleet.json``. The site fan-out is the only code
+that starts worker processes, so this is the one bench of process
+parallelism. Sharding speedups are recorded, not floored: on a starved
+runner the sites time-slice one CPU and the honest ratio sits near (or
+below) 1× — the cpu count rides along. The warm-resume floor *is*
+asserted (``REPRO_BENCH_FLEET_RESUME_FLOOR``, default 20×): skipping
+every site must beat recomputing them by a wide margin.
 """
 
 from __future__ import annotations

@@ -86,9 +86,9 @@ def emit_json(name: str, payload) -> None:
 def merge_json(name: str, fragment: dict) -> None:
     """Merge top-level keys into an archived JSON result.
 
-    Lets several benches contribute sections to one file (e.g. the
-    reference speedups and the restart-parallelism entry both land in
-    ``BENCH_clustering.json``) without clobbering each other.
+    Lets a bench add its sections to a file that other benches also
+    write (``BENCH_clustering.json``'s reference speedups) without
+    clobbering the keys it does not own.
     """
     import json
 

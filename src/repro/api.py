@@ -22,7 +22,7 @@ One import gives the whole pipeline behind five verbs::
   aggregated :class:`FleetReport` out.
 
 Each takes an optional :class:`ThorConfig` for *what to compute*
-(execution concerns — worker processes, the persistent artifact
+(execution concerns — in-flight fetches, the persistent artifact
 cache — ride on ``ThorConfig.execution``), and an
 optional :class:`RunOptions` for *how this invocation behaves* —
 naming (``run_id``), resumption (``resume``), reuse of the stored site

@@ -373,8 +373,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         return 2
     config = _thor_config(args)
     # For a fleet, --jobs means sites in flight (FleetConfig.site_jobs);
-    # per-site stage parallelism stays serial — the driver forbids
-    # nested pools anyway.
+    # each site keeps one fetch in flight.
     site_jobs = 1 if args.jobs is None else args.jobs
     config = replace(
         config,
@@ -664,10 +663,9 @@ def build_parser() -> argparse.ArgumentParser:
     execution = argparse.ArgumentParser(add_help=False)
     execution.add_argument(
         "--jobs", type=int, default=None,
-        help="worker processes for clustering restarts, started only "
-             "when the restarts outweigh a pool start (probe and crawl: "
-             "concurrent fetches; fleet: sites in flight; default 1 = "
-             "serial, 0 = one per core)",
+        help="a site's in-flight probe and crawl fetches (fleet: sites "
+             "in flight, one worker process each; nothing else starts a "
+             "process; default 1 = serial, 0 = one per core)",
     )
     execution.add_argument(
         "--cache-dir", default=None, dest="cache_dir",

@@ -32,9 +32,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.cluster.assignments import Clustering
-from repro.config import ExecutionConfig, resolve_n_jobs
 from repro.errors import ClusteringError
-from repro.runtime import restart_seed_streams, run_restarts, select_best
+from repro.runtime import restart_seed_streams, run_restarts
 from repro.vsm.matrix import VectorSpace
 from repro.vsm.vector import SparseVector
 
@@ -56,44 +55,6 @@ class AgglomerativeResult:
         return sum(self.merge_similarities) / len(self.merge_similarities)
 
 
-def _restart_worker(
-    payload: tuple["AverageLinkClusterer", Sequence[SparseVector]],
-    seeds: Sequence,
-) -> list[AgglomerativeResult]:
-    """One chunk of restarts (module-level for process-pool pickling).
-
-    Each restart shuffles the presentation order under its own seed
-    stream, fits single-shot, and maps labels back to input order with
-    first-appearance-canonical ids — so a restart's result is a pure
-    function of (vectors, restart seed), independent of which worker
-    ran it or in what order.
-    """
-    model, vectors = payload
-    n = len(vectors)
-    results: list[AgglomerativeResult] = []
-    for seed_material in seeds:
-        order = list(range(n))
-        random.Random(seed_material).shuffle(order)
-        permuted = [vectors[i] for i in order]
-        fitted = model._fit_single(permuted, n, min(model.k, n))
-        labels = [0] * len(vectors)
-        for position, original in enumerate(order):
-            labels[original] = fitted.clustering.labels[position]
-        remap: dict[int, int] = {}
-        canonical = []
-        for label in labels:
-            if label not in remap:
-                remap[label] = len(remap)
-            canonical.append(remap[label])
-        results.append(
-            AgglomerativeResult(
-                clustering=Clustering(tuple(canonical), fitted.clustering.k),
-                merge_similarities=fitted.merge_similarities,
-            )
-        )
-    return results
-
-
 class AverageLinkClusterer:
     """Average-link agglomerative clustering with a target k.
 
@@ -103,49 +64,63 @@ class AverageLinkClusterer:
     independently seeded random order — only linkage *ties* can differ
     — and the restart with the tightest merge sequence (highest mean
     merge similarity) wins, first-wins on ties. Restart seed streams
-    come from :func:`repro.runtime.restart_seed_streams` and fan out
-    across processes via :func:`repro.runtime.run_restarts`, so a
-    seeded run is bitwise identical at any ``n_jobs``.
+    come from :func:`repro.runtime.restart_seed_streams`, and
+    :func:`repro.runtime.run_restarts` runs them in order.
     """
 
     def __init__(
         self,
         k: int,
-        execution: Optional[ExecutionConfig] = None,
         restarts: int = 1,
         seed: Optional[int] = None,
-        n_jobs: Optional[int] = None,
     ) -> None:
         if k < 1:
             raise ClusteringError(f"k must be >= 1, got {k}")
         if restarts < 1:
             raise ClusteringError(f"restarts must be >= 1, got {restarts}")
         self.k = k
-        self.execution = execution
         self.restarts = restarts
         self.seed = seed
-        self.n_jobs = n_jobs
 
     def fit(self, vectors: Sequence[SparseVector]) -> AgglomerativeResult:
         n = len(vectors)
         if n == 0:
             raise ClusteringError("cannot cluster an empty collection")
         if self.restarts > 1:
-            seeds = restart_seed_streams(self.seed, self.restarts, "hac")
-            results = run_restarts(
-                _restart_worker,
-                (self, list(vectors)),
-                seeds,
-                n_jobs=resolve_n_jobs(self.execution, self.n_jobs),
-                label="hac",
-                execution=self.execution,
-            )
-            return select_best(
-                results,
+            return run_restarts(
+                lambda seed: self._restart(vectors, seed),
+                restart_seed_streams(self.seed, self.restarts, "hac"),
                 lambda candidate, incumbent: candidate.mean_merge_similarity
                 > incumbent.mean_merge_similarity,
             )
         return self._fit_single(vectors, n, min(self.k, n))
+
+    def _restart(
+        self, vectors: Sequence[SparseVector], seed_material
+    ) -> AgglomerativeResult:
+        """One restart: shuffle the presentation order under the
+        restart's seed stream, fit single-shot, and map labels back to
+        input order with first-appearance-canonical ids — so a
+        restart's result is a pure function of (vectors, restart
+        seed)."""
+        n = len(vectors)
+        order = list(range(n))
+        random.Random(seed_material).shuffle(order)
+        permuted = [vectors[i] for i in order]
+        fitted = self._fit_single(permuted, n, min(self.k, n))
+        labels = [0] * n
+        for position, original in enumerate(order):
+            labels[original] = fitted.clustering.labels[position]
+        remap: dict[int, int] = {}
+        canonical = []
+        for label in labels:
+            if label not in remap:
+                remap[label] = len(remap)
+            canonical.append(remap[label])
+        return AgglomerativeResult(
+            clustering=Clustering(tuple(canonical), fitted.clustering.k),
+            merge_similarities=fitted.merge_similarities,
+        )
 
     def _fit_single(
         self, vectors: Sequence[SparseVector], n: int, target_k: int

@@ -21,11 +21,10 @@ test-only reference in ``tests/oracles/``; it consumes the restart RNG
 call for call like this kernel, so a seeded run yields the same labels
 under both.
 
-Restarts are embarrassingly parallel: each draws from its own
-namespaced seed stream (:func:`repro.runtime.restart_seed_streams`),
-so no restart's RNG depends on any other's and the ``n_jobs`` process
-fan-out (:func:`repro.runtime.run_restarts`) returns labels bitwise
-identical to the serial loop.
+Each restart draws from its own namespaced seed stream
+(:func:`repro.runtime.restart_seed_streams`), so no restart's RNG
+depends on any other's; :func:`repro.runtime.run_restarts` runs them
+in order in the calling process and keeps the first best.
 """
 
 from __future__ import annotations
@@ -37,9 +36,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.cluster.assignments import Clustering
-from repro.config import ExecutionConfig, resolve_n_jobs
 from repro.errors import ClusteringError
-from repro.runtime import restart_seed_streams, run_restarts, select_best
+from repro.runtime import restart_seed_streams, run_restarts
 from repro.vsm.matrix import VectorSpace, centroid_matrix, cosine_matrix
 from repro.vsm.vector import SparseVector
 
@@ -67,11 +65,6 @@ class KMeans:
     tag-signature clustering converges in a handful of iterations, but
     the bound protects against oscillation on degenerate inputs.
 
-    ``execution`` supplies the worker count and the fan-out recovery
-    policy; ``n_jobs`` fans restarts out across worker processes
-    (``None`` takes the count from ``execution``, else 1). Seeded
-    results are identical at any job count.
-
     Restart selection maximizes the unweighted cohesion
     Σ_i Σ_{p∈C_i} cos(p, center_i) — the standard criterion
     (Steinbach/Karypis/Kumar 2000, which the paper cites). The paper's
@@ -90,8 +83,6 @@ class KMeans:
         max_iterations: int = 100,
         seed: Optional[int] = None,
         init: str = "random",
-        execution: Optional[ExecutionConfig] = None,
-        n_jobs: Optional[int] = None,
     ) -> None:
         if k < 1:
             raise ClusteringError(f"k must be >= 1, got {k}")
@@ -109,8 +100,6 @@ class KMeans:
         #: (distance-weighted seeding under cosine distance) needs
         #: fewer restarts to find small classes.
         self.init = init
-        self.execution = execution
-        self.n_jobs = resolve_n_jobs(execution, n_jobs)
 
     def fit(self, vectors: Sequence[SparseVector]) -> KMeansResult:
         """Cluster ``vectors`` into (at most) ``k`` clusters.
@@ -133,27 +122,20 @@ class KMeans:
         """
         if space.n == 0:
             raise ClusteringError("cannot cluster an empty collection")
-        return self._fit_restarts(_restart_batch, space, min(self.k, space.n))
-
-    def _fit_restarts(self, worker, data, effective_k: int) -> KMeansResult:
-        """Run every restart on its own seed stream — inline or fanned
-        out across processes — and keep the highest-cohesion result
-        (first restart wins ties, like the serial loop always did)."""
-        seeds = restart_seed_streams(self.seed, self.restarts, "kmeans")
-        results = run_restarts(
-            worker,
-            (self, data, effective_k),
-            seeds,
-            self.n_jobs,
-            label="kmeans",
-            execution=self.execution,
+        return self._fit_restarts(
+            self._run_once_space, space, min(self.k, space.n)
         )
-        best = select_best(
-            results,
+
+    def _fit_restarts(self, run_once, data, effective_k: int) -> KMeansResult:
+        """Run ``run_once(data, k, rng)`` once per restart seed stream
+        and keep the highest-cohesion result (first restart wins
+        ties)."""
+        best = run_restarts(
+            lambda seed: run_once(data, effective_k, random.Random(seed)),
+            restart_seed_streams(self.seed, self.restarts, "kmeans"),
             lambda result, incumbent: result.internal_similarity
             > incumbent.internal_similarity,
         )
-        assert best is not None
         return self._with_restarts(best)
 
     def _with_restarts(self, best: KMeansResult) -> KMeansResult:
@@ -238,13 +220,3 @@ class KMeans:
             iterations=iterations,
             restarts_run=1,
         )
-
-
-# -- restart batch worker (module-level so process pools can pickle it) --
-
-
-def _restart_batch(payload, seeds) -> list[KMeansResult]:
-    model, space, k = payload
-    return [
-        model._run_once_space(space, k, random.Random(seed)) for seed in seeds
-    ]

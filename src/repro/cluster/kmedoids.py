@@ -32,9 +32,8 @@ from typing import Callable, Optional, Sequence, TypeVar
 import numpy as np
 
 from repro.cluster.assignments import Clustering
-from repro.config import ExecutionConfig, resolve_n_jobs
 from repro.errors import ClusteringError
-from repro.runtime import restart_seed_streams, run_restarts, select_best
+from repro.runtime import restart_seed_streams, run_restarts
 
 T = TypeVar("T")
 
@@ -63,18 +62,16 @@ class KMedoids:
         restarts: int = 10,
         max_iterations: int = 100,
         seed: Optional[int] = None,
-        execution: Optional[ExecutionConfig] = None,
-        n_jobs: Optional[int] = None,
     ) -> None:
         if k < 1:
             raise ClusteringError(f"k must be >= 1, got {k}")
+        if restarts < 1:
+            raise ClusteringError(f"restarts must be >= 1, got {restarts}")
         self.k = k
         self.distance = distance
         self.restarts = restarts
         self.max_iterations = max_iterations
         self.seed = seed
-        self.execution = execution
-        self.n_jobs = resolve_n_jobs(execution, n_jobs)
 
     def fit(self, items: Sequence[T], precomputed=None) -> KMedoidsResult:
         """Cluster ``items``.
@@ -95,29 +92,19 @@ class KMedoids:
                     matrix[i, j] = matrix[j, i] = self.distance(
                         items[i], items[j]
                     )
-        return self._fit_matrix(_restart_batch, matrix, n)
+        return self._fit_matrix(self._run_once_matrix, matrix, n)
 
-    def _fit_matrix(self, worker, data, n: int) -> KMedoidsResult:
-        """Run every restart of ``worker`` over the matrix ``data`` and
-        keep the lowest total distance (first restart wins ties)."""
-        # One independent seed stream per restart (bitwise identical
-        # serial or fanned out across n_jobs worker processes).
-        seeds = restart_seed_streams(self.seed, self.restarts, "kmedoids")
-        results = run_restarts(
-            worker,
-            (self, data, n, min(self.k, n)),
-            seeds,
-            self.n_jobs,
-            label="kmedoids",
-            execution=self.execution,
-        )
-        best = select_best(
-            results,
+    def _fit_matrix(self, run_once, data, n: int) -> KMedoidsResult:
+        """Run ``run_once(data, n, k, rng)`` once per restart seed
+        stream and keep the lowest total distance (first restart wins
+        ties)."""
+        k = min(self.k, n)
+        return run_restarts(
+            lambda seed: run_once(data, n, k, random.Random(seed)),
+            restart_seed_streams(self.seed, self.restarts, "kmedoids"),
             lambda result, incumbent: result.total_distance
             < incumbent.total_distance,
         )
-        assert best is not None
-        return best
 
     def _run_once_matrix(self, matrix, n: int, k: int, rng: random.Random):
         medoids = rng.sample(range(n), k)
@@ -145,17 +132,3 @@ class KMedoids:
             total_distance=total,
             iterations=iterations,
         )
-
-
-# -- restart batch worker (module-level so process pools can pickle it) --
-# Note: with n_jobs > 1 the model (including its ``distance`` callable)
-# must pickle — module-level distance functions do; closures only work
-# in the serial n_jobs=1 path.
-
-
-def _restart_batch(payload, seeds) -> list[KMedoidsResult]:
-    model, matrix, n, k = payload
-    return [
-        model._run_once_matrix(matrix, n, k, random.Random(seed))
-        for seed in seeds
-    ]

@@ -37,6 +37,8 @@ class ScalarKMeans:
     ) -> None:
         if k < 1:
             raise ClusteringError(f"k must be >= 1, got {k}")
+        if restarts < 1:
+            raise ClusteringError(f"restarts must be >= 1, got {restarts}")
         self.k = k
         self.restarts = restarts
         self.max_iterations = max_iterations

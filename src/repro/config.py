@@ -53,22 +53,25 @@ class StageTimeouts:
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """How the pipeline computes: parallelism, caching, recovery.
+    """How the pipeline computes: concurrency, caching, recovery.
 
     One object answers the *how* questions every stage used to answer
-    separately: how many worker processes clustering restarts may fan
-    out over (``n_jobs``), whether expensive intermediates
-    persist across *processes* in an on-disk artifact store
-    (``cache_dir`` / ``artifact_cache`` — :mod:`repro.artifacts`), and
-    how failed fan-out chunks and slow stages are handled. Every
-    compute entry point takes one as its ``execution`` argument.
+    separately: how many probe and crawl fetches a site keeps in
+    flight (``n_jobs``), whether expensive intermediates persist
+    across *processes* in an on-disk artifact store (``cache_dir`` /
+    ``artifact_cache`` — :mod:`repro.artifacts`), and how failed
+    fleet chunks and slow stages are handled. Nothing here starts a
+    process: a site computes in the driving process, and only the
+    fleet's site fan-out (:attr:`FleetConfig.site_jobs`) runs sites
+    in worker processes.
     """
 
-    #: Worker processes for clustering restarts: 1 = serial (default),
-    #: N > 1 = up to that many processes, 0 = one per available core.
-    #: Restarts fan out only when timing one says the others would
-    #: save more than a pool start (:func:`repro.runtime.run_restarts`);
-    #: Phase-2 page analysis always runs in the driving process.
+    #: In-flight probe and crawl fetches of one site: 1 = serial
+    #: (default), N > 1 = up to N concurrent fetches, 0 = one per
+    #: available core. It is the default for
+    #: :attr:`ProbeConfig.concurrency`
+    #: (:func:`repro.probe.executor.resolve_probe_concurrency`) and
+    #: starts no process; results are byte-identical at every value.
     n_jobs: int = 1
     #: Root directory of the persistent artifact store. ``None`` defers
     #: to the ``REPRO_CACHE_DIR`` environment variable; with neither
@@ -78,13 +81,13 @@ class ExecutionConfig:
     #: take effect; "off" disables the on-disk artifact store entirely
     #: (the CLI ``--no-artifact-cache`` flag).
     artifact_cache: str = "on"
-    #: "on" recovers failed process-fan-out chunks (retries with seeded
-    #: backoff, then in-process serial fallback — see
+    #: "on" recovers failed fleet chunks (retries with seeded backoff,
+    #: then in-process serial fallback — see
     #: :func:`repro.runtime.run_chunked`); "off" raises a
     #: :class:`~repro.errors.ChunkFailedError` (with the chunk's
     #: payload indices attached) on the first failure instead.
     recovery: str = "on"
-    #: Extra attempts a failed fan-out chunk earns before the serial
+    #: Extra attempts a failed fleet chunk earns before the serial
     #: fallback (counts retries, not total attempts; 0 = fall straight
     #: back to serial).
     chunk_retries: int = 2
@@ -305,10 +308,11 @@ class FleetConfig:
     live on the :class:`~repro.fleet.FleetSpec`.
     """
 
-    #: Worker processes across sites: 1 = one site at a time (each site
-    #: may then use ``ExecutionConfig.n_jobs`` internally), N > 1 = that
-    #: many sites in flight (per-site pipelines forced serial — no
-    #: nested pools), 0 = one per available core.
+    #: Sites in flight, each in its own worker process (CLI ``repro
+    #: fleet --jobs``): 1 = one site at a time in the driving process,
+    #: N > 1 = that many worker processes, 0 = one per available core.
+    #: This is the only setting that starts processes; a site's own
+    #: ``ExecutionConfig.n_jobs`` still bounds its in-flight fetches.
     site_jobs: int = 1
     #: Stop admitting new sites after this many have been attempted in
     #: one ``run_fleet`` invocation (``None`` = no cap). Remaining
@@ -599,9 +603,9 @@ class ThorConfig:
     #: Seed for every stochastic component (K-Means starts, probe word
     #: sampling, prototype page choice); None = nondeterministic.
     seed: int | None = None
-    #: How the pipeline computes (worker processes, caching, recovery) —
-    #: one execution config shared by clustering, subtree matching,
-    #: content ranking, and the benchmarks.
+    #: How the pipeline computes (in-flight fetches, caching, recovery) —
+    #: one execution config shared by probing, the artifact store,
+    #: subtree matching and the fleet.
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
     #: How :func:`repro.api.run_fleet` schedules many sites of this
     #: configuration over workers (site-level parallelism and the

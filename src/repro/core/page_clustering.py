@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.cluster.assignments import Clustering
-from repro.config import ClusteringConfig, ExecutionConfig
+from repro.config import ClusteringConfig
 from repro.core.cluster_ranking import ClusterScore, score_clusters
 from repro.core.page import Page
 from repro.errors import ExtractionError
@@ -69,11 +69,9 @@ class PageClusterer:
         self,
         config: ClusteringConfig = ClusteringConfig(),
         seed: Optional[int] = None,
-        execution: Optional[ExecutionConfig] = None,
     ) -> None:
         self.config = config
         self.seed = seed
-        self.execution = execution if execution is not None else ExecutionConfig()
 
     def fit(self, pages: Sequence[Page]) -> PageClusteringResult:
         """Cluster and rank ``pages``.
@@ -89,7 +87,6 @@ class PageClusterer:
             self.config.k,
             restarts=self.config.restarts,
             seed=self.seed,
-            execution=self.execution,
         )
         scores = score_clusters(pages, clustering, self.config.ranking_weights)
         return PageClusteringResult(tuple(pages), clustering, tuple(scores))

@@ -336,9 +336,9 @@ def candidate_records_for_cluster(
     Output order follows ``pages``, and per-page record order is the
     document order of :func:`candidate_subtrees`. The pages of a
     cluster share most of their words, so one stem memo serves the
-    whole call. ``execution.n_jobs`` does not apply: a worker would
-    re-parse each page and ship its records back, which costs more
-    than the whole pass does here (DESIGN.md §10).
+    whole call. No worker process is involved: one would re-parse
+    each page and ship its records back, which costs more than the
+    whole pass does here (DESIGN.md §10).
     """
     from repro.runtime import artifact_store_for
 

@@ -154,8 +154,8 @@ class Thor:
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         self.config = config
-        #: The execution plan (n_jobs / artifact store / recovery)
-        #: every stage shares.
+        #: The execution plan (in-flight fetches / artifact store /
+        #: recovery) every stage shares.
         self.execution = execution = config.execution
         #: Seeded chaos injected into this instance's runs (tests/CI);
         #: ``None`` — the default — injects nothing.
@@ -163,9 +163,7 @@ class Thor:
         self._prober = QueryProber(
             config.probing, seed=config.seed, execution=execution
         )
-        self._clusterer = PageClusterer(
-            config.clustering, seed=config.seed, execution=execution
-        )
+        self._clusterer = PageClusterer(config.clustering, seed=config.seed)
         self._identifier = PageletIdentifier(
             config.subtrees, seed=config.seed, execution=execution
         )
@@ -551,8 +549,8 @@ class Thor:
     def artifact_stats(self) -> Optional[dict]:
         """This process's artifact-cache counters (``None`` if off).
 
-        Counts cover every publish of the run: Phase-2 page analysis
-        runs in this process, and restart workers publish nothing.
+        Counts cover every publish of the run: a site run computes
+        entirely in this process and starts no worker.
         """
         store = artifact_store_for(self.execution)
         if store is None:

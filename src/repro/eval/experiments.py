@@ -57,14 +57,12 @@ def clustering_quality_experiment(
     restarts: int = 1,
     repeats: int = 3,
     seed: int = 0,
-    execution: Optional[ExecutionConfig] = None,
 ) -> dict[str, dict[int, EntropyPoint]]:
     """Average clustering entropy and time per configuration and size.
 
     Mirrors Section 4.1: for each site, draw ``n`` pages, cluster with
     each configuration, and measure entropy against the hand labels.
     ``restarts=1`` matches the paper's "time to run one iteration".
-    ``execution`` is handed to every configuration.
     """
     results: dict[str, dict[int, EntropyPoint]] = {key: {} for key in config_keys}
     for key in config_keys:
@@ -97,7 +95,6 @@ def clustering_quality_experiment(
                         k,
                         restarts=restarts,
                         seed=rng.randrange(2**31),
-                        execution=execution,
                     )
                     times.append(time.perf_counter() - started)
                     entropies.append(clustering_entropy(clustering, classes))
@@ -120,7 +117,6 @@ def cluster_synthetic(
     k: int = 4,
     restarts: int = 1,
     seed: Optional[int] = None,
-    execution: Optional[ExecutionConfig] = None,
 ) -> Clustering:
     """Cluster synthetic page signatures under one representation.
 
@@ -142,7 +138,6 @@ def cluster_synthetic(
             distance=normalized_levenshtein,
             restarts=restarts,
             seed=seed,
-            execution=execution,
         )
         precomputed = pairwise_normalized_levenshtein(urls)
         return medoids.fit(urls, precomputed=precomputed).clustering
@@ -156,7 +151,7 @@ def cluster_synthetic(
         vectors = weighter.transform_all(documents)
     else:
         vectors = [raw_tf_vector(d) for d in documents]
-    kmeans = KMeans(k, restarts=restarts, seed=seed, execution=execution)
+    kmeans = KMeans(k, restarts=restarts, seed=seed)
     return kmeans.fit(vectors).clustering
 
 
@@ -167,7 +162,6 @@ def synthetic_scale_experiment(
     k: int = 5,
     seed: int = 0,
     entropy_restarts: int = 5,
-    execution: Optional[ExecutionConfig] = None,
 ) -> dict[str, dict[int, EntropyPoint]]:
     """Entropy and per-iteration time as the collection grows.
 
@@ -186,9 +180,7 @@ def synthetic_scale_experiment(
             subset = list(synthetic_pages[:n])
             classes = [p.class_label for p in subset]
             started = time.perf_counter()
-            clustering = cluster_synthetic(
-                subset, rep, k=k, restarts=1, seed=seed, execution=execution
-            )
+            clustering = cluster_synthetic(subset, rep, k=k, restarts=1, seed=seed)
             elapsed = time.perf_counter() - started
             if entropy_restarts > 1:
                 clustering = cluster_synthetic(
@@ -197,7 +189,6 @@ def synthetic_scale_experiment(
                     k=k,
                     restarts=entropy_restarts,
                     seed=seed,
-                    execution=execution,
                 )
             results[rep][n] = EntropyPoint(
                 entropy=clustering_entropy(clustering, classes),
@@ -492,7 +483,6 @@ def sensitivity_experiment(
     k_values: Sequence[int] = (2, 3, 4, 5),
     restart_values: Sequence[int] = (2, 5, 10, 20),
     seed: int = 0,
-    execution: Optional[ExecutionConfig] = None,
 ) -> dict[tuple[int, int], float]:
     """Average entropy for each (k, restarts) pair — the in-text
     sensitivity sweep ("ranging the number of clusters from 2 to 5 and
@@ -501,7 +491,7 @@ def sensitivity_experiment(
     Every (k, restarts) point re-clusters the *same* collection, so the
     keyed :func:`repro.runtime.cached_weighted_space` cache pays the
     vector-space interning cost once per site instead of once per
-    point; ``execution`` also carries ``n_jobs`` for restart fan-out."""
+    point."""
     config = get_configuration("ttag")
     results: dict[tuple[int, int], float] = {}
     for k in k_values:
@@ -509,9 +499,7 @@ def sensitivity_experiment(
             entropies = []
             for sample in samples:
                 pages = list(sample.pages)
-                clustering = config(
-                    pages, k, restarts=restarts, seed=seed, execution=execution
-                )
+                clustering = config(pages, k, restarts=restarts, seed=seed)
                 entropies.append(
                     clustering_entropy(clustering, [p.class_label for p in pages])
                 )

@@ -1,10 +1,11 @@
 """The fleet driver: N sites as one resumable job.
 
 :func:`run_fleet` takes one :class:`~repro.fleet.spec.FleetSpec` and
-drives every site through the full pipeline, sharding sites over the
-same :func:`repro.runtime.run_chunked` process machinery the per-site
-stages use — so fleet fan-out inherits worker-crash recovery, seeded
-chaos injection, and transport accounting for free. Per-site progress
+drives every site through the full pipeline, sharding sites over
+:func:`repro.runtime.run_chunked` — the only code that starts worker
+processes, so sites are the one process-parallel axis — and so fleet
+fan-out inherits worker-crash recovery, seeded chaos injection, and
+transport accounting. Per-site progress
 lands in the persistent :class:`~repro.fleet.ledger.FleetLedger`; a
 crashed or drained invocation is finished by resubmitting with
 ``resume=True``, which skips ``done`` sites wholesale and resumes the
@@ -156,7 +157,8 @@ def default_fleet_id(spec: FleetSpec) -> str:
 #
 # Module-level and driven only by picklable values, so the same
 # function serves the inline path (site_jobs=1), the process pool, and
-# run_chunked's serial fallback identically.
+# run_chunked's serial fallback identically. A site run starts no
+# process of its own, so pools never nest.
 
 
 def _fleet_site_worker(payload, sites: Sequence[SiteSpec]) -> list:
@@ -274,11 +276,6 @@ def run_fleet(
             ledger.reset_site(site.site_id)
 
     site_jobs = resolve_n_jobs(None, config.fleet.site_jobs)
-    if site_jobs > 1 and execution.n_jobs != 1:
-        # No nested process pools: with sites fanned out across
-        # workers, each site's own stages run serially in its worker.
-        config = replace(config, execution=replace(execution, n_jobs=1))
-
     waves = spec.waves()
     payload = (config, fleet_id, options.fault_plan)
     budget = config.fleet.max_sites_per_run

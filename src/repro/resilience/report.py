@@ -51,9 +51,9 @@ class RunReport:
     #: Cross-process transport accounting, by fan-out label:
     #: ``label → {"chunks", "bytes_sent", "bytes_received"}``. Sent is
     #: the pickled (payload, chunk) shipped to each worker; received
-    #: is the pickled chunk result. Only pool chunks count: inline work
-    #: (restarts too cheap to fan out, Phase-2 page analysis) and
-    #: serial fallbacks cross no boundary and count nothing.
+    #: is the pickled chunk result. Only the fleet's pool chunks count
+    #: (label ``fleet``): a site computes entirely in its own process,
+    #: and serial fallbacks cross no boundary, so neither counts.
     transport: dict = field(default_factory=dict)
     #: Incremental re-extraction accounting (``kind → count``), empty
     #: unless the run opted in via ``RunOptions(incremental=True)``:

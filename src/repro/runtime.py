@@ -2,34 +2,29 @@
 
 Every stage used to answer two questions on its own — whether to
 parallelize, and what to reuse between calls. This module centralizes
-them behind one :class:`ExecutionConfig` (worker processes + artifact
+them behind one :class:`ExecutionConfig` (in-flight fetches + artifact
 store + recovery policy) and provides the shared machinery:
 
-- **Per-restart seed streams** (:func:`restart_seed_streams`): the
-  clustering drivers used to thread a single ``random.Random`` through
-  all restarts, which serializes them by construction. Deriving one
-  independent, namespaced stream per restart makes each restart a pure
-  function of ``(data, restart_seed)``, so a fan-out across processes
-  is *bitwise identical* to the serial loop.
-- **Chunked process fan-out** (:func:`run_chunked`): items are split
-  into ``n_jobs`` contiguous chunks, each chunk runs in one worker of
-  a :class:`~concurrent.futures.ProcessPoolExecutor` (the payload is
-  pickled once per worker, not once per item), and results come back
-  in item order. Environments where process pools are unavailable
-  fall back to inline execution, and failed chunks (crashed workers,
-  chunk exceptions) are retried and then degraded to in-process
-  serial execution — see the worker-crash-recovery notes on
-  :func:`run_chunked` and DESIGN.md §11. The fleet's site fan-out
-  calls it directly.
-- **Restarts fan out only when that pays** (:func:`run_restarts`):
-  one restart runs inline and is timed in thread CPU time; the others
-  go to a pool only when the time they would save over ``n_jobs``
-  workers exceeds :data:`POOL_START_S` (:func:`fan_out_pays`).
-  Results return in restart order either way, so best-of selection
-  reduces exactly like the serial loop. Phase-2
-  per-page analysis never fans out: it runs in the driving process on
-  the trees the quarantine scan already parsed, which costs less per
-  page than a worker's re-parse and the result's trip back.
+- **Per-restart seed streams** (:func:`restart_seed_streams`): each
+  clustering restart draws from its own namespaced stream instead of
+  one ``random.Random`` threaded through all restarts, so a restart is
+  a pure function of ``(data, restart_seed)`` and every result digest
+  is fixed by the seed alone.
+- **Restarts run in the driving process** (:func:`run_restarts`): one
+  in-order loop per fit that keeps the first-found best result. A
+  site's K-Means restart costs about 0.4–1.9 ms, far less than the
+  ~14 ms a process pool costs to start, so nothing in a site run
+  starts a process (DESIGN.md §8).
+- **Chunked process fan-out** (:func:`run_chunked`): the fleet's site
+  fan-out, and the only code that starts worker processes. Items are
+  split into ``n_jobs`` contiguous chunks, each chunk runs in one
+  worker of a :class:`~concurrent.futures.ProcessPoolExecutor` (the
+  payload is pickled once per worker, not once per item), and results
+  come back in item order. Environments where process pools are
+  unavailable fall back to inline execution, and failed chunks
+  (crashed workers, chunk exceptions) are retried and then degraded
+  to in-process serial execution — see the worker-crash-recovery
+  notes on :func:`run_chunked` and DESIGN.md §11.
 - **Keyed vector-space cache** (:func:`cached_weighted_space`): the
   k-sensitivity sweeps re-cluster the *same* collection dozens of
   times with different k/restart settings; interning the collection
@@ -42,6 +37,9 @@ store + recovery policy) and provides the shared machinery:
 The user-facing knobs live on :class:`repro.config.ExecutionConfig`
 (re-exported here), threaded through ``ThorConfig.execution``, the
 stage drivers, and the CLI ``--jobs`` / ``--cache-dir`` flags.
+``n_jobs`` bounds a site's in-flight probe and crawl fetches; the
+fleet's ``site_jobs`` (``repro fleet --jobs``) sets how many sites run
+at once.
 """
 
 from __future__ import annotations
@@ -49,9 +47,9 @@ from __future__ import annotations
 import random
 import time
 from collections import OrderedDict
-from typing import Any, Callable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Mapping, Optional, Sequence, Tuple, TypeVar, Union
 
-from repro.config import ExecutionConfig, resolve_cache_dir, resolve_n_jobs
+from repro.config import ExecutionConfig, resolve_cache_dir
 from repro.errors import ChunkFailedError
 
 #: Seed material for one restart: anything ``random.Random`` accepts
@@ -69,8 +67,9 @@ def restart_seed_streams(
     seeding is deterministic across processes, unlike salted tuple
     hashes — see :mod:`repro.seeding`); unseeded runs draw fresh
     entropy per restart. Either way restart ``r``'s stream never
-    depends on how many draws restart ``r-1`` consumed, which is what
-    makes process fan-out bitwise identical to the serial loop.
+    depends on how many draws restart ``r-1`` consumed, so each
+    restart is a pure function of its data and its seed material, and
+    every result digest depends on these strings.
 
     >>> restart_seed_streams(7, 2, "kmeans")
     ['kmeans:7:0', 'kmeans:7:1']
@@ -81,15 +80,38 @@ def restart_seed_streams(
     return [f"{namespace}:{seed}:{index}" for index in range(restarts)]
 
 
-def _chunks(seeds: Sequence[SeedMaterial], n_jobs: int) -> list[list[SeedMaterial]]:
-    """Split ``seeds`` into at most ``n_jobs`` contiguous chunks."""
-    n_jobs = min(n_jobs, len(seeds))
-    size, extra = divmod(len(seeds), n_jobs)
+R = TypeVar("R")
+
+
+def run_restarts(
+    restart: Callable[[SeedMaterial], R],
+    seeds: Sequence[SeedMaterial],
+    better: Callable[[R, R], bool],
+) -> Optional[R]:
+    """Run ``restart(seed)`` once per seed, in order, in this process,
+    and return the best result (``None`` for no seeds).
+
+    ``better(candidate, incumbent)`` must be a *strict* "is better
+    than", so ties keep the earliest restart. Each clusterer passes
+    its own per-restart method and rejects ``restarts < 1`` up front.
+    """
+    best = None
+    for seed in seeds:
+        result = restart(seed)
+        if best is None or better(result, best):
+            best = result
+    return best
+
+
+def _chunks(items: Sequence[Any], n_jobs: int) -> list[list[Any]]:
+    """Split ``items`` into at most ``n_jobs`` contiguous chunks."""
+    n_jobs = min(n_jobs, len(items))
+    size, extra = divmod(len(items), n_jobs)
     chunks = []
     start = 0
     for index in range(n_jobs):
         stop = start + size + (1 if index < extra else 0)
-        chunks.append(list(seeds[start:stop]))
+        chunks.append(list(items[start:stop]))
         start = stop
     return chunks
 
@@ -136,7 +158,8 @@ def run_chunked(
 
     ``worker`` must be a module-level (picklable) function that maps a
     chunk of items to one result per item, in order; items must pickle
-    (restart seed materials, fleet site specs). With ``n_jobs <= 1``
+    (the fleet's site specs — the fleet is the only caller, and the
+    only code that starts worker processes). With ``n_jobs <= 1``
     (or a single item) everything runs inline; a pool that cannot
     start (sandboxes without process support) also degrades to inline
     execution rather than failing the computation, and counts neither
@@ -277,87 +300,6 @@ def run_chunked(
     return [result for batch in results for result in batch]
 
 
-#: What a process pool costs before it saves anything: starting two
-#: workers, running one small task on each and shutting the pool down
-#: took ~14 ms on a 2-vCPU KVM host. Restarts fan out only when they
-#: would save more than this (:func:`fan_out_pays`). The figure holds
-#: for fork-started pools of two workers only: the cost of more
-#: workers (``n_jobs=0`` on a many-core host), of a payload pickled
-#: once per worker, and of the spawn or forkserver start methods is
-#: unmeasured, and the rule does not scale the constant for them.
-POOL_START_S = 0.014
-
-
-def fan_out_pays(remaining: int, restart_s: float, n_jobs: int) -> bool:
-    """Whether ``remaining`` restarts that each cost ``restart_s`` CPU
-    seconds save more than one pool start when spread over ``n_jobs``
-    workers (at most one worker per restart).
-
-    Spread ideally over ``w`` workers, ``remaining × restart_s`` of
-    serial work takes ``1/w`` of the time, so the saving is
-    ``remaining × restart_s × (1 − 1/w)``.
-
-    >>> fan_out_pays(9, 0.0004, 2)   # cheap K-Means restarts stay inline
-    False
-    >>> fan_out_pays(63, 0.023, 2)   # heavy ones fan out
-    True
-    >>> fan_out_pays(1, 10.0, 8)     # one restart has nothing to share
-    False
-    """
-    workers = min(n_jobs, remaining)
-    if workers <= 1:
-        return False
-    return remaining * restart_s * (1 - 1 / workers) > POOL_START_S
-
-
-def run_restarts(
-    worker: Callable[[Any, Sequence[SeedMaterial]], list],
-    payload: Any,
-    seeds: Sequence[SeedMaterial],
-    n_jobs: int = 1,
-    *,
-    label: str = "restarts",
-    execution: Optional[ExecutionConfig] = None,
-) -> list:
-    """Restart fan-out that starts a pool only when it pays.
-
-    With ``n_jobs > 1`` the last restart runs inline first and is
-    timed in thread CPU time (``time.thread_time``), which host steal
-    and other processes cannot inflate. The other restarts go to
-    :func:`run_chunked` when :func:`fan_out_pays` says the pool saves
-    more than it costs, and run inline otherwise. The fanned-out
-    restarts are the first ones, so a :class:`ChunkFailedError`'s
-    ``indices`` are restart indices as they stand. Results come back
-    in restart order on every path.
-    """
-    seeds = list(seeds)
-    if n_jobs <= 1 or len(seeds) <= 1:
-        return worker(payload, seeds)
-    started = time.thread_time()
-    last = worker(payload, seeds[-1:])
-    restart_s = time.thread_time() - started
-    rest = seeds[:-1]
-    if fan_out_pays(len(rest), restart_s, n_jobs):
-        return run_chunked(
-            worker, payload, rest, n_jobs, label=label, execution=execution
-        ) + last
-    return worker(payload, rest) + last
-
-
-def select_best(results: Sequence, better: Callable[[Any, Any], bool]):
-    """First-wins best-of reduction in restart order.
-
-    ``better(candidate, incumbent)`` must implement a *strict* "is
-    better than" — exactly the comparison the serial loops used — so
-    ties keep the earliest restart under any execution plan.
-    """
-    best = None
-    for result in results:
-        if best is None or better(result, best):
-            best = result
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Artifact-store registry
 # ---------------------------------------------------------------------------
@@ -465,18 +407,14 @@ def clear_space_cache() -> None:
 
 __all__ = [
     "ExecutionConfig",
-    "POOL_START_S",
     "SeedMaterial",
     "artifact_store_for",
     "cached_weighted_space",
     "clear_artifact_store_registry",
     "clear_space_cache",
-    "fan_out_pays",
     "resolve_cache_dir",
-    "resolve_n_jobs",
     "restart_seed_streams",
     "run_chunked",
     "run_restarts",
-    "select_best",
     "space_cache_stats",
 ]

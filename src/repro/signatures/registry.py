@@ -27,7 +27,6 @@ from repro.cluster.kmeans import KMeans
 from repro.cluster.kmedoids import KMedoids
 from repro.cluster.random_baseline import random_clustering
 from repro.cluster.scalar import ScalarKMeans
-from repro.config import ExecutionConfig
 from repro.core.page import Page
 from repro.runtime import cached_weighted_space
 from repro.vsm.matrix import pairwise_normalized_levenshtein
@@ -41,19 +40,14 @@ from repro.signatures.url import url_distance
 class ClusteringConfig:
     """A named page-clustering approach.
 
-    ``cluster`` partitions ``pages`` into ``k`` clusters; ``restarts``,
-    ``seed``, and ``execution`` are forwarded to the underlying
-    algorithm (ignored by the random baseline's single draw). The
-    :class:`~repro.config.ExecutionConfig` supplies the restart
-    fan-out.
+    ``cluster`` partitions ``pages`` into ``k`` clusters; ``restarts``
+    and ``seed`` are forwarded to the underlying algorithm (ignored by
+    the random baseline's single draw).
     """
 
     key: str
     label: str
-    cluster: Callable[
-        [Sequence[Page], int, int, Optional[int], Optional[ExecutionConfig]],
-        Clustering,
-    ]
+    cluster: Callable[[Sequence[Page], int, int, Optional[int]], Clustering]
 
     def __call__(
         self,
@@ -61,9 +55,8 @@ class ClusteringConfig:
         k: int,
         restarts: int = 10,
         seed: Optional[int] = None,
-        execution: Optional[ExecutionConfig] = None,
     ) -> Clustering:
-        return self.cluster(pages, k, restarts, seed, execution)
+        return self.cluster(pages, k, restarts, seed)
 
 
 def _vector_kmeans(signature: Callable[[Page], dict], weighting: str):
@@ -72,10 +65,9 @@ def _vector_kmeans(signature: Callable[[Page], dict], weighting: str):
         k: int,
         restarts: int,
         seed: Optional[int],
-        execution: Optional[ExecutionConfig],
     ) -> Clustering:
         signatures = [signature(p) for p in pages]
-        kmeans = KMeans(k, restarts=restarts, seed=seed, execution=execution)
+        kmeans = KMeans(k, restarts=restarts, seed=seed)
         # Weight straight into the dense space — no per-page
         # SparseVector is ever materialized — and reuse it across calls
         # over the same collection (k sweeps).
@@ -90,7 +82,6 @@ def _size_kmeans(
     k: int,
     restarts: int,
     seed: Optional[int],
-    execution: Optional[ExecutionConfig],
 ) -> Clustering:
     values = [size_signature(p) for p in pages]
     return ScalarKMeans(k, restarts=restarts, seed=seed).fit(values).clustering
@@ -101,11 +92,8 @@ def _url_kmedoids(
     k: int,
     restarts: int,
     seed: Optional[int],
-    execution: Optional[ExecutionConfig],
 ) -> Clustering:
-    medoids = KMedoids(
-        k, distance=url_distance, restarts=restarts, seed=seed, execution=execution
-    )
+    medoids = KMedoids(k, distance=url_distance, restarts=restarts, seed=seed)
     # One call to the vectorized, memoized Levenshtein kernel replaces
     # the n²/2 scalar url_distance invocations.
     precomputed = pairwise_normalized_levenshtein([p.url for p in pages])
@@ -117,7 +105,6 @@ def _random(
     k: int,
     restarts: int,
     seed: Optional[int],
-    execution: Optional[ExecutionConfig],
 ) -> Clustering:
     return random_clustering(len(pages), k, seed=seed)
 

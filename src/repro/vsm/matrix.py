@@ -219,8 +219,8 @@ def group_sums(matrix, labels, k):
     the per-member dict merging of :func:`repro.vsm.centroid.vector_sum`.
 
     ``matrix`` is re-viewed with the canonical float64 dtype first: an
-    unpickled array (a restart payload in a pool worker, a stored
-    model) carries its own copy of the descriptor, and numpy skips
+    unpickled array (a stored model, a payload sent to a worker
+    process) carries its own copy of the descriptor, and numpy skips
     ``ufunc.at``'s fast path for it, which made the scatter ~5× slower.
     """
     labels = np.asarray(labels)

@@ -21,7 +21,8 @@ compare the kernels against:
 - :mod:`tests.oracles.records` — single-page analysis one candidate
   node at a time, the reference for the one-pass record builder.
 
-Restart-based oracles fan out through :func:`repro.runtime.run_restarts`
-exactly like production, and their batch workers are module-level so
-process pools can pickle them.
+Restart-based oracles hand their per-restart method to production's
+restart loop (``_fit_restarts`` / ``_fit_matrix``, which call
+:func:`repro.runtime.run_restarts`), so only the per-restart kernel
+differs from production.
 """

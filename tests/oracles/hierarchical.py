@@ -4,7 +4,7 @@
 :class:`repro.cluster.hierarchical.AverageLinkClusterer` with the
 single-shot fit swapped for the dict-of-``SparseVector`` formulation:
 one ``dot`` per cluster pair instead of a Gram matmul. Restarts
-(``restarts > 1``) fan out through :func:`repro.runtime.run_restarts`
+(``restarts > 1``) run through :func:`repro.runtime.run_restarts`
 exactly as in production and call this fit per permutation.
 """
 

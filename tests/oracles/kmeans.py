@@ -70,7 +70,7 @@ class OracleKMeans(KMeans):
         if not vectors:
             raise ClusteringError("cannot cluster an empty collection")
         return self._fit_restarts(
-            _restart_batch, list(vectors), min(self.k, len(vectors))
+            self._run_once, list(vectors), min(self.k, len(vectors))
         )
 
     def _seed_centers(
@@ -136,13 +136,3 @@ class OracleKMeans(KMeans):
             iterations=iterations,
             restarts_run=1,
         )
-
-
-# -- restart batch worker (module-level so process pools can pickle it) --
-
-
-def _restart_batch(payload, seeds) -> list[KMeansResult]:
-    model, vectors, k = payload
-    return [
-        model._run_once(vectors, k, random.Random(seed)) for seed in seeds
-    ]

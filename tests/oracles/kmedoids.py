@@ -32,7 +32,7 @@ class OracleKMedoids(KMedoids):
                     d = self.distance(items[i], items[j])
                     matrix[i][j] = d
                     matrix[j][i] = d
-        return self._fit_matrix(_restart_batch, matrix, n)
+        return self._fit_matrix(self._run_once, matrix, n)
 
     def _run_once(
         self, matrix: list[list[float]], n: int, k: int, rng: random.Random
@@ -78,13 +78,3 @@ class OracleKMedoids(KMedoids):
                     best_label = index
             labels.append(best_label)
         return labels
-
-
-# -- restart batch worker (module-level so process pools can pickle it) --
-
-
-def _restart_batch(payload, seeds) -> list[KMedoidsResult]:
-    model, matrix, n, k = payload
-    return [
-        model._run_once(matrix, n, k, random.Random(seed)) for seed in seeds
-    ]

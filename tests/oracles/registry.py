@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from repro.cluster.assignments import Clustering
-from repro.config import ExecutionConfig
 from repro.core.page import Page
 from repro.signatures.content import content_signature
 from repro.signatures.registry import CONFIGURATIONS as PRODUCTION
@@ -33,14 +32,13 @@ def _vector_kmeans(signature: Callable[[Page], dict], weighting: str):
         k: int,
         restarts: int,
         seed: Optional[int],
-        execution: Optional[ExecutionConfig],
     ) -> Clustering:
         signatures = [signature(p) for p in pages]
         if weighting == "raw":
             vectors = [raw_tf_vector(s) for s in signatures]
         else:
             vectors = tfidf_vectors(signatures)
-        kmeans = OracleKMeans(k, restarts=restarts, seed=seed, execution=execution)
+        kmeans = OracleKMeans(k, restarts=restarts, seed=seed)
         return kmeans.fit(vectors).clustering
 
     return run
@@ -51,11 +49,8 @@ def _url_kmedoids(
     k: int,
     restarts: int,
     seed: Optional[int],
-    execution: Optional[ExecutionConfig],
 ) -> Clustering:
-    medoids = OracleKMedoids(
-        k, distance=url_distance, restarts=restarts, seed=seed, execution=execution
-    )
+    medoids = OracleKMedoids(k, distance=url_distance, restarts=restarts, seed=seed)
     return medoids.fit(list(pages)).clustering
 
 

@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import runtime
 from repro.cluster.editdist import normalized_levenshtein
 from repro.cluster.hierarchical import AverageLinkClusterer
 from repro.cluster.kmeans import KMeans
@@ -35,7 +34,6 @@ from repro.core.subtree_sets import (
     shape_distance_matrix,
 )
 from repro.html.metrics import SubtreeShape
-from repro.resilience import RunReportBuilder, activate_report
 from repro.vsm.centroid import centroid
 from repro.vsm.matrix import (
     VectorSpace,
@@ -407,65 +405,10 @@ class TestTreeEditEquivalence:
         assert 0.0 <= npy <= 1.0
 
 
-def fit_in_pool(clusterer, data, label: str):
-    """``clusterer.fit(data)``, failing unless restarts went through a
-    process pool (the run report counts their chunks)."""
-    report = RunReportBuilder()
-    with activate_report(report):
-        result = clusterer.fit(data)
-    assert report.build().transport[label]["chunks"] > 0
-    return result
-
-
 class TestParallelEquivalence:
-    """Seeded restart fan-out must be bitwise identical to the serial
-    loop: per-restart seed streams make each restart a pure function of
-    (data, restart seed), so the execution plan cannot change labels."""
-
-    @pytest.fixture(autouse=True)
-    def restarts_always_fan_out(self, monkeypatch):
-        # These fits take microseconds per restart, far below a pool
-        # start, so the restart rule would keep them inline; a free
-        # pool sends every n_jobs > 1 fit's restarts through one.
-        monkeypatch.setattr(runtime, "POOL_START_S", 0.0)
-
-    @pytest.mark.parametrize(
-        "kmeans", [OracleKMeans, KMeans], ids=["python", "numpy"]
-    )
-    def test_kmeans_parallel_matches_serial(self, kmeans):
-        for seed in (0, 7):
-            vectors = random_vectors(seed, 14, allow_zero=True)
-            kwargs = dict(k=3, restarts=6, seed=seed)
-            serial = kmeans(n_jobs=1, **kwargs).fit(vectors)
-            parallel = fit_in_pool(
-                kmeans(n_jobs=2, **kwargs), vectors, "kmeans"
-            )
-            assert parallel.clustering.labels == serial.clustering.labels
-            assert parallel.internal_similarity == serial.internal_similarity
-            assert parallel.iterations == serial.iterations
-
-    @pytest.mark.parametrize(
-        "kmedoids", [OracleKMedoids, KMedoids], ids=["python", "numpy"]
-    )
-    def test_kmedoids_parallel_matches_serial(self, kmedoids):
-        rng = random.Random(5)
-        urls = [
-            "/list?p=" + "".join(rng.choices("abcd", k=rng.randint(1, 6)))
-            for _ in range(12)
-        ]
-        kwargs = dict(
-            k=3,
-            distance=normalized_levenshtein,
-            restarts=6,
-            seed=5,
-        )
-        serial = kmedoids(n_jobs=1, **kwargs).fit(urls)
-        parallel = fit_in_pool(
-            kmedoids(n_jobs=3, **kwargs), urls, "kmedoids"
-        )
-        assert parallel.clustering.labels == serial.clustering.labels
-        assert parallel.medoid_indices == serial.medoid_indices
-        assert parallel.total_distance == serial.total_distance
+    """Restart seeding and the in-order restart loop: each restart is
+    a pure function of (data, restart seed), and the best restart wins
+    with the earliest kept on ties."""
 
     def test_restart_seed_streams_are_deterministic(self):
         from repro.runtime import restart_seed_streams
@@ -483,19 +426,19 @@ class TestParallelEquivalence:
     def test_run_restarts_orders_results(self):
         from repro.runtime import run_restarts
 
-        # Inline path (n_jobs=1) keeps seed order.
-        results = run_restarts(_echo_worker, None, ["a", "b", "c"], n_jobs=1)
-        assert results == ["a", "b", "c"]
-        # Fanned-out path (one restart inline, four over two workers)
-        # flattens chunk results back into seed order.
-        report = RunReportBuilder()
-        with activate_report(report):
-            results = run_restarts(
-                _echo_worker, None, list("abcde"), n_jobs=2, label="echo"
-            )
-        assert results == list("abcde")
-        assert report.build().transport["echo"]["chunks"] == 2
+        scores = {"a": 1, "b": 3, "c": 3, "d": 2}
+        calls = []
 
+        def restart(seed):
+            calls.append(seed)
+            return (scores[seed], seed)
 
-def _echo_worker(payload, seeds):
-    return list(seeds)
+        def better(candidate, incumbent):
+            return candidate[0] > incumbent[0]
+
+        best = run_restarts(restart, list("abcd"), better)
+        # One call per seed, in seed order, in this process.
+        assert calls == list("abcd")
+        # "b" and "c" tie on the best score: the first one found wins.
+        assert best == (3, "b")
+        assert run_restarts(restart, [], better) is None

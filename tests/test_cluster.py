@@ -131,6 +131,15 @@ class TestScalarKMeans:
         with pytest.raises(ClusteringError):
             ScalarKMeans(2).fit([])
 
+    def test_invalid_k_raises(self):
+        with pytest.raises(ClusteringError):
+            ScalarKMeans(0)
+
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_invalid_restarts_raises(self, restarts):
+        with pytest.raises(ClusteringError):
+            ScalarKMeans(2, restarts=restarts)
+
 
 class TestKMedoids:
     def test_separates_string_groups(self):
@@ -148,6 +157,16 @@ class TestKMedoids:
     def test_empty_raises(self):
         with pytest.raises(ClusteringError):
             KMedoids(2, distance=lambda a, b: 0.0).fit([])
+
+    def test_invalid_k_raises(self):
+        with pytest.raises(ClusteringError):
+            KMedoids(0, distance=lambda a, b: 0.0)
+
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_invalid_restarts_raises(self, restarts):
+        # Raised up front: a fit with no restarts has no result to keep.
+        with pytest.raises(ClusteringError):
+            KMedoids(2, distance=lambda a, b: 0.0, restarts=restarts)
 
 
 class TestRandomBaseline:

@@ -283,6 +283,12 @@ class TestRunFleet:
             ),
         )
         assert chaotic.aggregate_digest == clean.aggregate_digest
+        # The faults really fired in the site fan-out, and recovery
+        # absorbed them: retried chunks, then one serial fallback.
+        scheduler = chaotic.scheduler
+        assert scheduler.faults_injected == {"chunk_error": 3, "worker_crash": 2}
+        assert scheduler.chunk_retries == 4
+        assert scheduler.serial_fallbacks == 1
 
     def test_format_fleet_report_carries_the_grep_lines(self, tmp_path):
         spec = spec_for([("music", 5)])

@@ -5,10 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import runtime
 from repro.cluster.hierarchical import AverageLinkClusterer
 from repro.errors import ClusteringError
-from repro.resilience import RunReportBuilder, activate_report
 from repro.vsm import SparseVector
 
 
@@ -61,23 +59,8 @@ class TestAverageLink:
 
 
 class TestRestartFanout:
-    """Seeded restart fan-out (repro.runtime.run_restarts) on the
-    agglomerative path: parallel must equal serial bitwise."""
-
-    def test_parallel_equals_serial(self, monkeypatch):
-        # A free pool start makes the restart rule fan these
-        # microsecond restarts out instead of keeping them inline.
-        monkeypatch.setattr(runtime, "POOL_START_S", 0.0)
-        vectors = blobs()
-        serial = AverageLinkClusterer(2, restarts=4, seed=7).fit(vectors)
-        report = RunReportBuilder()
-        with activate_report(report):
-            parallel = AverageLinkClusterer(
-                2, restarts=4, seed=7, n_jobs=2
-            ).fit(vectors)
-        assert report.build().transport["hac"]["chunks"] == 2
-        assert serial.clustering.labels == parallel.clustering.labels
-        assert serial.merge_similarities == parallel.merge_similarities
+    """Seeded restarts (repro.runtime.run_restarts) on the
+    agglomerative path."""
 
     def test_seeded_restarts_deterministic(self):
         vectors = blobs()

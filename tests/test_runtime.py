@@ -1,5 +1,5 @@
-"""Tests for the execution layer: which work fans out over a process
-pool, and the keyed vector-space cache."""
+"""Tests for the execution layer: a site run starts no process pool,
+and the keyed vector-space cache."""
 
 from __future__ import annotations
 
@@ -10,14 +10,9 @@ import pytest
 
 from repro import runtime
 from repro.config import ExecutionConfig
-from repro.errors import ChunkFailedError
-from repro.resilience import RunReportBuilder, activate_report
 from repro.runtime import (
     cached_weighted_space,
     clear_space_cache,
-    fan_out_pays,
-    run_restarts,
-    select_best,
     space_cache_stats,
 )
 
@@ -93,25 +88,8 @@ class TestSpaceCache:
 
 
 # ---------------------------------------------------------------------------
-# Which work fans out
+# No single-site path starts a process
 # ---------------------------------------------------------------------------
-
-
-def _scored_restarts(payload, seeds):
-    """Restart worker: (score, seed) per seed, with ties by design.
-
-    It burns a little CPU so that a restart's measured thread time is
-    never zero.
-    """
-    sum(range(20_000))
-    return [(int(seed[1:]) % payload, seed) for seed in seeds]
-
-
-def _fragile_restarts(payload, seeds):
-    """Restart worker that fails on any chunk holding ``payload``."""
-    if payload in seeds:
-        raise ValueError(f"restart {payload} failed")
-    return list(seeds)
 
 
 class _NoPool:
@@ -121,80 +99,13 @@ class _NoPool:
         pytest.fail("a process pool was started")
 
 
-SEEDS = [f"r{index}" for index in range(7)]
-
-
-def _best(results):
-    return select_best(results, lambda a, b: a[0] > b[0])
-
-
-class TestRestartFanOutRule:
-    def test_decision_is_a_pure_function_of_its_inputs(self, monkeypatch):
-        # 9 restarts × 0.4 ms × (1 − 1/2) = 1.8 ms: below a pool start.
-        assert not fan_out_pays(9, 0.0004, 2)
-        # 63 restarts × 23 ms × (1 − 1/2) ≈ 0.72 s: far above it.
-        assert fan_out_pays(63, 0.023, 2)
-        # The saving is compared strictly against the constant.
-        monkeypatch.setattr(runtime, "POOL_START_S", 0.5)
-        assert not fan_out_pays(2, 0.5, 2)
-        assert fan_out_pays(2, 0.5001, 2)
-        # One worker per restart at most: one restart never fans out,
-        # and a surplus of workers does not inflate the saving.
-        assert not fan_out_pays(1, 100.0, 8)
-        assert fan_out_pays(2, 0.5001, 8) == fan_out_pays(2, 0.5001, 2)
-        # n_jobs=1 has nothing to spread.
-        assert not fan_out_pays(9, 100.0, 1)
-
-    def test_cheap_restarts_stay_inline(self, monkeypatch):
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
-        monkeypatch.setattr(runtime, "POOL_START_S", float("inf"))
-        report = RunReportBuilder()
-        with activate_report(report):
-            results = run_restarts(
-                _scored_restarts, 3, SEEDS, n_jobs=2, label="t",
-                execution=ExecutionConfig(n_jobs=2),
-            )
-        serial = _scored_restarts(3, SEEDS)
-        assert results == serial
-        assert _best(results) == _best(serial) == (2, "r2")  # r5 ties
-        assert report.build().transport == {}
-
-    def test_heavy_restarts_fan_out(self, monkeypatch):
-        monkeypatch.setattr(runtime, "POOL_START_S", 0.0)
-        report = RunReportBuilder()
-        with activate_report(report):
-            results = run_restarts(
-                _scored_restarts, 3, SEEDS, n_jobs=2, label="t",
-                execution=ExecutionConfig(n_jobs=2),
-            )
-        serial = _scored_restarts(3, SEEDS)
-        assert results == serial
-        assert _best(results) == _best(serial) == (2, "r2")  # r5 ties
-        # One restart ran inline; the other six went to two workers.
-        assert report.build().transport["t"]["chunks"] == 2
-
-    def test_failed_fan_out_chunk_names_restart_indices(self, monkeypatch):
-        monkeypatch.setattr(runtime, "POOL_START_S", 0.0)
-        with pytest.raises(ChunkFailedError) as excinfo:
-            run_restarts(
-                _fragile_restarts, "r4", SEEDS, n_jobs=2, label="t",
-                execution=ExecutionConfig(n_jobs=2, recovery="off"),
-            )
-        # The timed restart runs inline and is the last one, so the
-        # fanned-out chunks hold restarts 0-2 and 3-5.
-        assert excinfo.value.indices == (3, 4, 5)
-        assert [SEEDS[i] for i in excinfo.value.indices] == ["r3", "r4", "r5"]
-        assert isinstance(excinfo.value.__cause__, ValueError)
-
-
 class TestSiteRunStartsNoPool:
     def test_cold_jobs2_run_is_in_process_and_digest_equal(
         self, tmp_path, monkeypatch
     ):
-        # Phase-2 page analysis never fans out, so once the restart
-        # rule keeps K-Means inline (an unaffordable pool start pins
-        # that down on any host), a cold run at n_jobs=2 into a fresh
-        # store builds no process pool.
+        # Restarts and Phase-2 page analysis both run in the driving
+        # process, so a cold run at n_jobs=2 into a fresh store builds
+        # no process pool on any host.
         from repro.config import ThorConfig
         from repro.core.thor import Thor
         from repro.deepweb import make_site
@@ -204,7 +115,6 @@ class TestSiteRunStartsNoPool:
             make_site(domain="jobs", seed=5, records=40)
         )
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
-        monkeypatch.setattr(runtime, "POOL_START_S", float("inf"))
         config = ThorConfig(
             seed=5,
             execution=ExecutionConfig(n_jobs=2, cache_dir=str(tmp_path)),
