@@ -63,8 +63,9 @@ def test_fig10_overall(corpus, benchmark, capsys):
     emit(capsys, "fig10_overall", table + stats)
 
     ttag = scores["ttag"]
-    assert ttag.precision >= 0.9
-    assert ttag.recall >= 0.9
+    # The paper's headline is 0.97 precision / 0.96 recall.
+    assert ttag.precision >= 0.97
+    assert ttag.recall >= 0.97
     # TTag leads every alternative on F1; URL and random collapse.
     for key in CONFIGS[1:]:
         assert ttag.f1 >= scores[key].f1, key

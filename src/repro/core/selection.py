@@ -11,8 +11,13 @@ We realise this as a coverage-guided descent over the dynamic sets'
 containment order:
 
 1. Build the containment relation between surviving dynamic sets (set
-   A contains set B when A's member encloses B's member on a majority
-   of their shared pages).
+   A contains set B when A's member encloses B's member on a strict
+   majority of their shared pages). Shared-page counts come from one
+   product of a pages × sets membership matrix, enclosure votes from
+   looking each member's ancestor path prefixes up among its page's
+   member paths. Each set's contained sets are inserted in a fixed
+   order (first shared page, then set index), because the descent
+   below sums and breaks ties in their iteration order.
 2. Start from the set containing the most other dynamic sets (a
    page-level wrapper).
 3. Descend into the contained set with the highest own containment as
@@ -31,6 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from repro.core.subtree_ranking import RankedSubtreeSet
 
@@ -119,32 +126,60 @@ def _containment_relation(
     trailing ``"/"`` guard keeps ``div[1]`` from matching ``div[10]``
     — exactly the descendant relation, without touching the DOM
     (members are node-free records).
+
+    Shared-page counts are one product of a pages × sets membership
+    matrix. An enclosure vote for (a, b) on a page means a's member
+    path is b's member path cut at one of its ``"/"``, so each member
+    looks its ancestor prefixes up among that page's member paths:
+    pages × sets × depth work instead of pages × sets².
+
+    Each ``contained[a]`` receives its sets in a fixed order — by the
+    first page (in first-seen page order) on which both sets have
+    members, then by ``b`` — because a Python set of ints iterates by
+    hash slot, and once indices outgrow the table the slot depends on
+    insertion order. :func:`score_sets` sums and breaks ties in that
+    iteration order. (``tests/oracles/selection.py`` keeps the
+    pair-counting loop that first fixed this order.)
     """
     n_sets = len(candidates)
-    # Per page: set index -> member path expression.
-    page_paths: dict[int, dict[int, str]] = {}
+    # Per page, in first-seen page order: (set index, member path).
+    page_members: dict[int, list[tuple[int, str]]] = {}
     for set_index, ranked in enumerate(candidates):
         for page_index, member in ranked.subtree_set.members.items():
-            page_paths.setdefault(page_index, {})[set_index] = member.shape.path
+            page_members.setdefault(page_index, []).append(
+                (set_index, member.shape.path)
+            )
 
-    enclosure_votes: dict[tuple[int, int], int] = {}
-    shared_pages: dict[tuple[int, int], int] = {}
-    for members in page_paths.values():
-        set_indices = list(members)
-        for a in set_indices:
-            prefix = members[a] + "/"
-            for b in set_indices:
-                if a == b:
-                    continue
-                key = (a, b)
-                shared_pages[key] = shared_pages.get(key, 0) + 1
-                if members[b].startswith(prefix):
-                    enclosure_votes[key] = enclosure_votes.get(key, 0) + 1
+    membership = np.zeros((len(page_members), n_sets), dtype=bool)
+    vote_cells: list[int] = []
+    for row, members in enumerate(page_members.values()):
+        membership[row, [set_index for set_index, _ in members]] = True
+        owners: dict[str, list[int]] = {}
+        for set_index, path in members:
+            owners.setdefault(path, []).append(set_index)
+        for b, path in members:
+            cut = path.find("/")
+            while cut >= 0:
+                for a in owners.get(path[:cut], ()):
+                    vote_cells.append(a * n_sets + b)
+                cut = path.find("/", cut + 1)
 
     contained: list[set[int]] = [set() for _ in range(n_sets)]
-    for (a, b), shared in shared_pages.items():
-        if enclosure_votes.get((a, b), 0) * 2 > shared:
-            contained[a].add(b)
+    if not vote_cells:
+        return contained
+    # shared[a, b] = pages on which both a and b have members.
+    present = membership.astype(np.float64)
+    shared = present.T @ present
+    votes = np.bincount(vote_cells, minlength=n_sets * n_sets).reshape(
+        n_sets, n_sets
+    )
+    a_indices, b_indices = np.nonzero(votes * 2 > shared)
+    first_shared = np.argmax(
+        membership[:, a_indices] & membership[:, b_indices], axis=0
+    )
+    order = np.lexsort((b_indices, first_shared, a_indices))
+    for a, b in zip(a_indices[order].tolist(), b_indices[order].tolist()):
+        contained[a].add(b)
     return contained
 
 
@@ -161,6 +196,13 @@ def score_sets(
     followed by the other sets ordered by containment then depth.
     When no set contains any other (single-region clusters), the
     largest dynamic region wins.
+
+    A set's containment count sums the support weights of the sets it
+    contains, and the descent keeps the first of equally good
+    children, both in the iteration order of the sets
+    :func:`_containment_relation` builds. Float addition is not
+    associative, so that order reaches ``ScoredSet.score`` — the
+    pagelet score the result digest hashes — and must not change.
     """
     if not candidates:
         return []

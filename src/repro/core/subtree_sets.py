@@ -325,19 +325,39 @@ def find_common_subtree_sets(
     :class:`~repro.core.single_page.CandidateRecord` snapshots from
     single-page analysis. The prototype page is chosen at random
     (seeded) unless ``prototype_index`` pins it. Pages other than the
-    prototype are matched greedily: all (set, candidate) pairs are
-    sorted by distance and accepted when both the set's slot for that
-    page and the candidate are still free and the distance is within
-    ``max_assign_distance``. The full prototype × candidate distance
+    prototype are matched greedily: every (set, candidate) pair within
+    ``max_assign_distance`` is visited in ascending distance, and a
+    pair is accepted when both the set's slot for that page and the
+    candidate are still free. The full prototype × candidate distance
     matrix for each page is built by :func:`shape_distance_matrix` in
     a handful of array operations; ``execution`` bounds its memo
     (``distance_memo_entries``).
 
-    Raises :class:`ExtractionError` when there are no pages or the
-    chosen prototype page has no candidates.
+    The visiting order decides which of two equally close pairs wins,
+    so it is fixed exactly: the thresholded cells are taken as
+    row-major flat indices and ordered by one stable argsort on their
+    distances — equal distances keep row-major (set, then candidate)
+    order, as a stable sort of ``(distance, set, candidate)`` tuples
+    keyed on distance would. NaN distances fail ``<=`` and never
+    match. Once every set or every candidate is taken no later pair
+    can be accepted, so the walk stops there.
+    (``tests/oracles/grouping.py`` keeps the tuple-sorting loop as the
+    reference.)
+
+    Raises :class:`ExtractionError` when there are no pages, when
+    ``prototype_index`` is not a page index in
+    ``[0, len(candidates_per_page))``, or when the chosen prototype
+    page has no candidates.
     """
     if not candidates_per_page:
         raise ExtractionError("no pages given to cross-page analysis")
+    if prototype_index is not None and not (
+        0 <= prototype_index < len(candidates_per_page)
+    ):
+        raise ExtractionError(
+            f"prototype page {prototype_index} is not a page index"
+            f" in [0, {len(candidates_per_page)})"
+        )
     if execution is not None:
         # The execution plan bounds the quadruple-matrix memo.
         set_quad_matrix_memo_limit(execution.distance_memo_entries)
@@ -374,19 +394,21 @@ def find_common_subtree_sets(
             make_candidate_from_record(page_index, record, codec)
             for record in records
         ]
-        distances = shape_distance_matrix(prototypes, page_candidates, weights)
-        set_rows, cand_cols = np.nonzero(distances <= max_assign_distance)
-        pairs = [
-            (float(distances[s, c]), int(s), int(c))
-            for s, c in zip(set_rows, cand_cols)
-        ]
-        pairs.sort(key=lambda t: t[0])
-        used_sets: set[int] = set()
-        used_candidates: set[int] = set()
-        for distance, set_index, cand_index in pairs:
-            if set_index in used_sets or cand_index in used_candidates:
+        flat = shape_distance_matrix(prototypes, page_candidates, weights).ravel()
+        cells = np.flatnonzero(flat <= max_assign_distance)
+        cells = cells[np.argsort(flat[cells], kind="stable")]
+        n_candidates = len(page_candidates)
+        used_sets = [False] * len(sets)
+        used_candidates = [False] * n_candidates
+        remaining = min(len(sets), n_candidates)
+        for cell in cells.tolist():
+            set_index, cand_index = divmod(cell, n_candidates)
+            if used_sets[set_index] or used_candidates[cand_index]:
                 continue
             sets[set_index].members[page_index] = page_candidates[cand_index]
-            used_sets.add(set_index)
-            used_candidates.add(cand_index)
+            used_sets[set_index] = True
+            used_candidates[cand_index] = True
+            remaining -= 1
+            if not remaining:
+                break
     return sets

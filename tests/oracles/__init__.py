@@ -16,8 +16,11 @@ compare the kernels against:
   intra-set similarity of a common subtree set;
 - :mod:`tests.oracles.registry` — the seven clustering configurations
   wired to the loop kernels above;
-- :mod:`tests.oracles.selection` — the live-DOM sibling vote of
-  QA-Pagelet selection;
+- :mod:`tests.oracles.grouping` — cross-page grouping by greedy
+  matching over the sorted list of ``(distance, set, candidate)``
+  tuples;
+- :mod:`tests.oracles.selection` — the live-DOM sibling vote and the
+  pair-by-pair containment relation of QA-Pagelet selection;
 - :mod:`tests.oracles.records` — single-page analysis one candidate
   node at a time, the reference for the one-pass record builder.
 

@@ -152,6 +152,22 @@ class TestFindCommonSubtreeSets:
         with pytest.raises(ExtractionError):
             find_common_subtree_sets(candidates, prototype_index=1)
 
+    @pytest.mark.parametrize("prototype_index", [-1, 4, 9])
+    def test_prototype_index_outside_pages_raises(self, prototype_index):
+        # A negative index must not wrap to the last page: that page
+        # would seed the sets and then be matched again as page 3.
+        pages = make_pages([["a", "b"], ["c"], ["d", "e"], ["f"]])
+        candidates = [records(p) for p in pages]
+        with pytest.raises(ExtractionError, match="not a page index"):
+            find_common_subtree_sets(candidates, prototype_index=prototype_index)
+
+    def test_prototype_index_last_page_accepted(self):
+        pages = make_pages([["a", "b"], ["c"], ["d", "e"], ["f"]])
+        candidates = [records(p) for p in pages]
+        for subtree_set in find_common_subtree_sets(candidates, prototype_index=3):
+            assert subtree_set.prototype.page_index == 3
+            assert set(subtree_set.members) <= {0, 1, 2, 3}
+
     def test_prototype_defaults_to_non_empty_page(self):
         pages = make_pages([["a"]])
         candidates = [[], records(pages[0])]
