@@ -1,17 +1,15 @@
-"""Phase-2 analysis: where candidate records come from, and how fast
-cross-page grouping and selection run over them.
+"""Phase 2 and the artifact store, end to end and layer by layer.
 
-Per-page single-page analysis — parse → candidate subtrees →
-node-free record snapshots with subtree term counts
-(:func:`repro.core.single_page.candidate_records_for_cluster`) — runs
-in the driving process at any ``n_jobs``: a worker would re-parse each
-page and ship its records back, which costs more than the whole
-in-process pass (DESIGN.md §10). What this bench still compares is
-where the records come from: built storeless, built cold while
-publishing to a fresh store, or read back warm from that store. It
-asserts the bitwise-equivalence invariant along the way (store ==
-storeless and warm == cold, record for record) and archives
-``BENCH_extraction.json``.
+The site-run leg times ``api.run`` on every bench site three ways:
+without a store, cold into a fresh store, and warm on that store. A
+site run publishes two files, its page pack and its site model
+(DESIGN.md §10), and a warm run reads every page back from the pack,
+parsing none. The leg asserts identical result digests site by site
+and records seconds, ratios to the storeless run, publishes, bytes
+written and ``parse`` calls under the ``site_run_store`` key of
+``BENCH_extraction.json``. ``api.run`` rather than ``api.extract``:
+only a run that persists the site model shows the warm re-parse the
+per-page tiers used to cost.
 
 A second leg times cross-page grouping
 (:func:`repro.core.subtree_sets.find_common_subtree_sets`) and the
@@ -22,34 +20,37 @@ hands them while extracting every bench site, and asserts identical
 outputs. It writes its own key of ``BENCH_extraction.json``; both legs
 merge into the file, so neither clobbers the other.
 
-Floors: grouping ≥ ``GROUPING_FLOOR`` (1.5)× its reference. Warm
-read-back ≥ ``REPRO_BENCH_WARM_FLOOR``× serial (default 4.0). On a
-2-vCPU host it read 5.19–6.95× while the serial path re-stemmed
-every candidate's text, and 2.14–2.41× once the one-pass
-record builder cut that serial per-page cost from 3.1–4.3 s to
-1.15–1.21 s (three runs each; the read-back itself stayed at
-0.50–0.69 s), so this floor now fails: the ``records/`` tier costs
-about what it saves.
+Floors: a cold run into a fresh store takes at most
+``COLD_STORE_CEILING`` (1.5)× the storeless run, a warm run parses no
+page, and grouping runs ≥ ``GROUPING_FLOOR`` (1.5)× its reference.
 """
 
 from __future__ import annotations
 
-import os
+import shutil
 import tempfile
 import time
 from unittest import mock
 
 from conftest import BENCH_SEED, available_cpus, emit, merge_json
 from repro import api
-from repro.config import ExecutionConfig, SubtreeConfig
+from repro.config import ExecutionConfig
 from repro.core import identification, selection, subtree_sets
-from repro.core.identification import PageletIdentifier
+from repro.core import page as page_module
 from repro.core.page import Page
-from repro.core.single_page import candidate_records_for_cluster
+from repro.core.thor import Thor
+from repro.html.parser import parse
+from repro.io.export import result_digest
 from tests.oracles import grouping as grouping_oracle
 from tests.oracles import selection as selection_oracle
 
-WARM_FLOOR = float(os.environ.get("REPRO_BENCH_WARM_FLOOR", "4.0"))
+#: Cold site run into a fresh store against the storeless run. With one
+#: file per page per tier, 21 perfbench sites read 1.75–1.97×.
+COLD_STORE_CEILING = 1.5
+#: Parses on the warm run: every tree comes from the page pack.
+WARM_PARSES = 0
+#: Rounds of the site-run leg; each way keeps its fastest round.
+ROUNDS = 3
 #: Grouping against its loop reference; five runs on a 2-vCPU host read
 #: 2.9–4.6× (containment 4.7–5.0×).
 GROUPING_FLOOR = 1.5
@@ -64,114 +65,113 @@ def _reset_caches() -> None:
     clear_quad_matrix_memo()
 
 
-def _timed(fn, rounds: int = 2):
-    """Best-of-``rounds`` wall clock and the last result."""
-    best = None
-    result = None
-    for _ in range(rounds):
+def _site_run(site, execution):
+    """One timed ``api.run`` of a bench site from cold memos: its
+    digest, seconds, parse calls and store counters."""
+    _reset_caches()
+    _cold_distance_memos()
+    parses = []
+
+    def counting_parse(*args, **kwargs):
+        parses.append(None)
+        return parse(*args, **kwargs)
+
+    thor = Thor(api.ThorConfig(seed=BENCH_SEED, execution=execution))
+    with mock.patch.object(page_module, "parse", counting_parse):
         start = time.perf_counter()
-        result = fn()
+        result = thor.run(site)
         elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best, result
+    return result_digest(result), elapsed, len(parses), thor.artifact_stats()
 
 
-def test_phase2_cache_speedup(corpus, capsys):
-    pages = [page for sample in corpus for page in sample.pages]
+def test_site_run_store(corpus, capsys):
+    """``api.run`` of every bench site without a store, cold into a
+    fresh store, and warm on that store."""
+    ways = ("storeless", "cold", "warm")
+    best = dict.fromkeys(ways)
+    counters = {}
+    for round_index in range(ROUNDS):
+        seconds = dict.fromkeys(ways, 0.0)
+        digests = {way: [] for way in ways}
+        counters = {
+            way: {"puts": 0, "bytes_written": 0, "parses": 0}
+            for way in ways[1:]
+        }
+        order = ways if round_index % 2 == 0 else ways[1:] + ways[:1]
+        for sample in corpus:
+            root = tempfile.mkdtemp(prefix="bench-site-run-")
+            try:
+                for way in order:
+                    if way == "storeless":
+                        execution = ExecutionConfig(artifact_cache="off")
+                    else:
+                        execution = ExecutionConfig(cache_dir=root)
+                    digest, elapsed, parses, stats = _site_run(
+                        sample.site, execution
+                    )
+                    seconds[way] += elapsed
+                    digests[way].append(digest)
+                    if way != "storeless":
+                        counters[way]["puts"] += stats["puts"]
+                        counters[way]["bytes_written"] += stats["bytes_written"]
+                        counters[way]["parses"] += parses
+            finally:
+                shutil.rmtree(root)
+        # Storeless == cold == warm, site by site.
+        assert digests["cold"] == digests["storeless"]
+        assert digests["warm"] == digests["storeless"]
+        for way in ways:
+            if best[way] is None or seconds[way] < best[way]:
+                best[way] = seconds[way]
 
-    def clone_pages():
-        # Fresh Page objects every timed run: a previously parsed tree
-        # cached on the page would hand the serial path a head start
-        # (and the cache paths must re-derive everything from HTML).
-        return [Page(p.html, url=p.url, query=p.query) for p in pages]
-
-    serial_s, baseline = _timed(
-        lambda: candidate_records_for_cluster(clone_pages())
-    )
-
-    root = tempfile.mkdtemp(prefix="bench-extraction-")
-    _reset_caches()
-    start = time.perf_counter()
-    cold_records = candidate_records_for_cluster(
-        clone_pages(), execution=ExecutionConfig(cache_dir=root)
-    )
-    cold_s = time.perf_counter() - start  # one shot: a rerun is warm
-    assert cold_records == baseline  # store == storeless, bitwise
-
-    _reset_caches()
-    warm_s, warm_records = _timed(
-        lambda: candidate_records_for_cluster(
-            clone_pages(), execution=ExecutionConfig(cache_dir=root)
-        )
-    )
-    assert warm_records == baseline  # warm == cold, bitwise
-    cold = {"seconds": cold_s, "speedup": serial_s / cold_s}
-    warm = {"seconds": warm_s, "speedup": serial_s / warm_s}
-
-    # End-to-end Phase 2 for context: grouping, ranking and selection
-    # run after the records either way.
-    site_pages = list(corpus[0].pages)
-    root = tempfile.mkdtemp(prefix="bench-extraction-identify-")
-
-    def identify(execution=None):
-        return PageletIdentifier(
-            SubtreeConfig(), seed=0, execution=execution
-        ).identify([Page(p.html, url=p.url, query=p.query) for p in site_pages])
-
-    _reset_caches()
-    identify_serial_s, serial_result = _timed(identify)
-    _reset_caches()
-    identify_cold_s, _ = _timed(
-        lambda: identify(ExecutionConfig(cache_dir=root)), rounds=1
-    )
-    _reset_caches()
-    identify_warm_s, warm_result = _timed(
-        lambda: identify(ExecutionConfig(cache_dir=root))
-    )
-    assert [
-        (p.path, repr(p.score), p.rank) for p in warm_result.pagelets
-    ] == [(p.path, repr(p.score), p.rank) for p in serial_result.pagelets]
-
+    cold_ratio = best["cold"] / best["storeless"]
+    warm_ratio = best["warm"] / best["storeless"]
     cpus = available_cpus()
     lines = [
-        f"pages: {len(pages)}  cpus: {cpus}",
-        f"per-page analysis, serial: {serial_s:.3f}s",
-        f"  cold into a fresh store {cold_s:.3f}s ({cold['speedup']:.2f}x)"
-        f"  warm read-back {warm_s:.3f}s ({warm['speedup']:.2f}x)",
-        f"identify end-to-end ({len(site_pages)} pages):"
-        f" serial {identify_serial_s:.3f}s"
-        f"  cold {identify_cold_s:.3f}s"
-        f"  warm {identify_warm_s:.3f}s"
-        f" ({identify_serial_s / identify_warm_s:.2f}x)",
+        f"sites: {len(corpus)}  cpus: {cpus}  rounds: {ROUNDS}",
+        f"api.run storeless {best['storeless']:.3f}s",
+        f"  cold into a fresh store {best['cold']:.3f}s ({cold_ratio:.2f}x)"
+        f"  publishes {counters['cold']['puts']}"
+        f"  bytes {counters['cold']['bytes_written']}"
+        f"  parses {counters['cold']['parses']}",
+        f"  warm on that store {best['warm']:.3f}s ({warm_ratio:.2f}x)"
+        f"  publishes {counters['warm']['puts']}"
+        f"  bytes {counters['warm']['bytes_written']}"
+        f"  parses {counters['warm']['parses']}",
     ]
-    emit(capsys, "extraction_speedup", "\n".join(lines))
+    emit(capsys, "site_run_store", "\n".join(lines))
 
     merge_json(
         "BENCH_extraction",
         {
-            "available_cpus": cpus,
-            "n_pages": len(pages),
-            "estimator": "min (cold runs are single-shot: a rerun is warm)",
-            "per_page_analysis": {
-                "serial_seconds": serial_s,
-                # Built while publishing to a fresh store.
-                "cold_store": cold,
-                # Serial read-back of the store the cold run filled.
-                "warm_read_back": warm,
-            },
-            "identify_end_to_end": {
-                "n_pages": len(site_pages),
-                "serial_seconds": identify_serial_s,
-                "cold_seconds": identify_cold_s,
-                "warm_seconds": identify_warm_s,
-                "warm_speedup": identify_serial_s / identify_warm_s,
-            },
-            "bitwise_identical": True,
-            "floors": {"warm": WARM_FLOOR},
+            "site_run_store": {
+                "available_cpus": cpus,
+                "n_sites": len(corpus),
+                "estimator": f"min over {ROUNDS} rounds of the summed"
+                " per-site run times, memos emptied before each run",
+                "seconds": best,
+                "ratio_to_storeless": {"cold": cold_ratio, "warm": warm_ratio},
+                "publishes": {
+                    way: counters[way]["puts"] for way in ("cold", "warm")
+                },
+                "bytes_written": {
+                    way: counters[way]["bytes_written"]
+                    for way in ("cold", "warm")
+                },
+                "parses": {
+                    way: counters[way]["parses"] for way in ("cold", "warm")
+                },
+                "identical_digests": True,
+                "floors": {
+                    "cold_ratio_max": COLD_STORE_CEILING,
+                    "warm_parses": WARM_PARSES,
+                },
+            }
         },
     )
 
-    assert warm["speedup"] >= WARM_FLOOR
+    assert cold_ratio <= COLD_STORE_CEILING
+    assert counters["warm"]["parses"] == WARM_PARSES
 
 
 def _phase2_inputs(corpus):

@@ -1,27 +1,33 @@
-"""``repro.artifacts``: the persistent, content-addressed artifact cache.
+"""``repro.artifacts``: the persistent artifact cache.
 
 Repeated extraction over near-identical page sets is the dominant
 production workload (wrapper maintenance: the same site re-probed
 daily, re-extracted after every template tweak). This package persists
-the pipeline's expensive intermediates across processes:
+the pipeline's expensive intermediates across processes, one site run
+at a time:
 
-- parsed tag trees (lossless codec, :mod:`repro.artifacts.pages`),
-- page clustering signatures (tag/term counts + max fanout),
-- Phase-2 per-page candidate-subtree records (the ⟨path, fanout,
-  depth, node-count⟩ quadruples plus subtree term counts),
-- fitted site models for incremental re-extraction
-  (:mod:`repro.incremental`).
+- a page pack per site (:mod:`repro.artifacts.pages`): each page's
+  clustering signatures, template fingerprint and parsed tag tree
+  (lossless codec), keyed by the SHA-256 of its HTML;
+- a fitted site model per site and configuration, for incremental
+  re-extraction (:mod:`repro.incremental`).
 
+A cold site run publishes two files, the model and the pack; a warm
+run parses no page and publishes only the model. Phase-2 candidate
+records are not stored: a run rebuilds them from the page trees with
+its stem memo, which costs about what reading them back did.
 Interned :class:`~repro.vsm.matrix.VectorSpace` matrices are not
-stored: rebuilding one costs less than publishing it and reading it
-back. A ``spaces/`` directory left by an older version is never read;
-``repro artifacts-gc`` evicts it like any other kind.
+stored either: rebuilding one costs less than publishing it and
+reading it back. ``trees/``, ``signatures/``, ``records/`` or
+``spaces/`` directories left by an older version are never read;
+``repro artifacts-gc`` evicts them like any other kind.
 
-Everything is keyed by SHA-256 of the source content plus derivation
-version tags (:mod:`repro.artifacts.keys`), so a hit is always exactly
-what a cold computation would produce — the cache can make a run
-faster, never different. Writes are atomic and last-writer-wins, so
-concurrent processes may share one cache directory.
+Pages are looked up by content hash inside their pack, and every key
+folds in the version tags of the code that derived the artifact
+(:mod:`repro.artifacts.keys`), so a hit is always exactly what a cold
+computation would produce — the cache can make a run faster, never
+different. Writes are atomic and last-writer-wins, so concurrent
+processes may share one cache directory.
 
 Enable via ``ExecutionConfig(cache_dir=...)``, the ``REPRO_CACHE_DIR``
 environment variable, or the CLI ``--cache-dir`` flag; manage disk
@@ -31,18 +37,13 @@ usage with ``repro artifacts-gc``.
 from repro.artifacts.gc import GcReport, collect
 from repro.artifacts.keys import (
     MODEL_VERSION,
-    candidate_records_key,
     model_key,
-    page_signature_key,
-    page_tree_key,
+    page_pack_key,
     sha256_hex,
 )
 from repro.artifacts.pages import (
-    cached_signature,
-    cached_tree,
+    PagePack,
     payload_to_tree,
-    put_signature,
-    put_tree,
     tree_to_payload,
 )
 from repro.artifacts.stats import (
@@ -52,9 +53,7 @@ from repro.artifacts.stats import (
 )
 from repro.artifacts.store import (
     KIND_MODELS,
-    KIND_RECORDS,
-    KIND_SIGNATURES,
-    KIND_TREES,
+    KIND_PAGES,
     ArtifactStore,
     load_persistent_stats,
     merge_persistent_stats,
@@ -64,24 +63,17 @@ __all__ = [
     "ArtifactStore",
     "GcReport",
     "KIND_MODELS",
-    "KIND_RECORDS",
-    "KIND_SIGNATURES",
-    "KIND_TREES",
+    "KIND_PAGES",
     "MODEL_VERSION",
+    "PagePack",
     "artifact_report",
-    "cached_signature",
-    "cached_tree",
-    "candidate_records_key",
     "collect",
     "format_artifact_report",
     "load_persistent_stats",
     "merge_persistent_stats",
     "model_key",
-    "page_signature_key",
-    "page_tree_key",
+    "page_pack_key",
     "payload_to_tree",
-    "put_signature",
-    "put_tree",
     "sha256_hex",
     "store_usage",
     "tree_to_payload",

@@ -8,14 +8,17 @@ the byte budget is enforced on what remains.
 
 One kind is special-cased under the byte budget: ``models/`` (the
 fitted-model bundles driving incremental re-extraction,
-:mod:`repro.incremental`). A model is written *after* the signatures
-of the pages it was fitted on, so a plain oldest-first sweep could
-evict a model while older signature bundles of its source pages
-survive — losing the expensive artifact and keeping its cheap inputs.
-Budget eviction therefore drains every other kind (oldest first)
-before touching a model; models themselves then go oldest-first. Age
-expiry still applies to models by their own mtime — a stale model is
-stale however it ranks against other kinds.
+:mod:`repro.incremental`). A model saves a refit: the K-Means
+restarts and the Phase-2 analysis of every forwarded cluster. A site's
+page pack (``pages/``) saves only the parsing and signature analysis
+of its pages, and a refresh whose pack is gone still replays from its
+model; the reverse is a full refit. A site run writes its pack *after*
+its model, so a plain oldest-first sweep would evict a model before
+the pack of the same run — losing the expensive artifact and keeping
+the cheap one. Budget eviction therefore drains every other kind
+(oldest first) before touching a model; models themselves then go
+oldest-first. Age expiry still applies to models by their own mtime —
+a stale model is stale however it ranks against other kinds.
 
 GC is concurrent-writer safe for the same reason writes are: entries
 are whole files, removal is atomic, and a reader that loses the race

@@ -1,4 +1,25 @@
-"""Page-level artifacts: parsed tag trees and clustering signatures.
+"""Page-level artifacts: one page pack per site.
+
+THOR works on one site's probe sample at a time, so the store keeps a
+site's pages together: one JSON object in the site's ``pages/`` slot
+(:func:`~repro.artifacts.keys.page_pack_key`), last-writer-wins like
+the site model. It maps each page's content key (the SHA-256 of its
+HTML, :func:`~repro.incremental.model.page_content_key`) to that
+page's bundle:
+
+- ``tag_counts`` and ``term_counts``, the clustering signatures (JSON
+  keeps dict insertion order, and vocabulary order is load-bearing for
+  the bitwise invariant), and ``max_fanout``;
+- ``fingerprint``, the page's template fingerprint (sorted ints), which
+  the site model unions per cluster for its drift gate;
+- ``tree``, the lossless tree codec (:func:`tree_to_payload`) as a
+  JSON string. It is decoded on the first ``page.tree`` of that page,
+  so a tree no stage reads is never decoded.
+
+A run reads its pack once (:class:`PagePack`) and publishes it once,
+after the site model, and only when some surviving page missed it; the
+new pack then holds exactly that run's surviving pages. A torn pack is
+one counted store miss, and a malformed entry misses only its page.
 
 The tag-tree codec is lossless with respect to the parser's output:
 ``payload_to_tree(tree_to_payload(parse(html)))`` reproduces the exact
@@ -9,15 +30,16 @@ bitwise warm == cold invariant extend all the way down to the DOM.
 
 from __future__ import annotations
 
-from typing import Optional
+import json
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from repro.artifacts.keys import page_signature_key, page_tree_key
-from repro.artifacts.store import (
-    KIND_SIGNATURES,
-    KIND_TREES,
-    ArtifactStore,
-)
+from repro.artifacts.keys import page_pack_key
+from repro.artifacts.store import KIND_PAGES, ArtifactStore
 from repro.html.tree import ContentNode, Node, TagNode, TagTree
+from repro.text.terms import DEFAULT_EXTRACTOR
+
+if TYPE_CHECKING:
+    from repro.core.page import Page
 
 #: Payload schema: a tag node is ``[tag, [[attr, value], ...], [child,
 #: ...]]``; a content node is a plain string. Chosen for compact JSON.
@@ -57,63 +79,125 @@ def payload_to_tree(payload, source_size: int = 0, url: str = "") -> TagTree:
     return TagTree(root, source_size=source_size, url=url)
 
 
-def cached_tree(
-    store: ArtifactStore, html: str, url: str = ""
-) -> Optional[TagTree]:
-    """Load the parsed tree of ``html`` from the store, or ``None``."""
-    payload = store.get_json(KIND_TREES, page_tree_key(html))
-    if payload is None:
-        return None
-    try:
-        return payload_to_tree(payload, source_size=len(html), url=url)
-    except (ValueError, TypeError, IndexError):
-        return None
+def _bundle(page: "Page", fingerprint: frozenset[int]) -> dict:
+    """The pack entry of one analysed page."""
+    return {
+        "tag_counts": page.tag_counts(),
+        "term_counts": page.term_counts(),
+        "max_fanout": page.max_fanout(),
+        "fingerprint": sorted(fingerprint),
+        "tree": json.dumps(
+            tree_to_payload(page.tree), ensure_ascii=False, separators=(",", ":")
+        ),
+    }
 
 
-def put_tree(store: ArtifactStore, html: str, tree: TagTree) -> None:
-    """Persist the parsed tree of ``html``."""
-    store.put_json(KIND_TREES, page_tree_key(html), tree_to_payload(tree))
+def _counts(value) -> dict:
+    """``value`` when it is a JSON count map, else ``ValueError``."""
+    if not isinstance(value, dict) or not all(
+        type(count) is int for count in value.values()
+    ):
+        raise ValueError("malformed count map")
+    return value
 
 
-def cached_signature(store: ArtifactStore, html: str) -> Optional[dict]:
-    """Load a page's clustering signature bundle, or ``None``.
+class PagePack:
+    """One run's view of its site's ``pages/`` slot.
 
-    The bundle holds ``tag_counts`` / ``term_counts`` (insertion order
-    preserved through JSON — vocabulary order is load-bearing for the
-    bitwise invariant) and ``max_fanout``.
+    Reads the slot once on construction. :meth:`prime` warms a page
+    from its entry; :meth:`publish` rewrites the slot when a page
+    missed.
     """
-    payload = store.get_json(KIND_SIGNATURES, page_signature_key(html))
-    if not isinstance(payload, dict):
-        return None
-    if not {"tag_counts", "term_counts", "max_fanout"} <= set(payload):
-        return None
-    return payload
 
+    def __init__(self, store: ArtifactStore, site: str) -> None:
+        self.store = store
+        self.key = page_pack_key(site)
+        payload = store.get_json(KIND_PAGES, self.key)
+        self._entries: dict = payload if isinstance(payload, dict) else {}
+        #: Content key → the stored entry of every page it primed.
+        self._served: dict[str, dict] = {}
 
-def put_signature(
-    store: ArtifactStore,
-    html: str,
-    tag_counts: dict,
-    term_counts: dict,
-    max_fanout: int,
-) -> None:
-    """Persist a page's clustering signature bundle."""
-    store.put_json(
-        KIND_SIGNATURES,
-        page_signature_key(html),
-        {
-            "tag_counts": tag_counts,
-            "term_counts": term_counts,
-            "max_fanout": max_fanout,
-        },
-    )
+    def prime(self, page: "Page", key: str) -> Optional[frozenset[int]]:
+        """Warm ``page`` from the entry under its content ``key``.
+
+        Injects the signatures and installs a lazy tree loader; returns
+        the page's template fingerprint, or ``None`` when the page
+        misses (no entry, a malformed one, or a page whose terms another
+        extractor counts).
+        """
+        if page.extractor is not DEFAULT_EXTRACTOR:
+            return None
+        entry = self._entries.get(key)
+        try:
+            tag_counts = _counts(entry["tag_counts"])
+            term_counts = _counts(entry["term_counts"])
+            max_fanout = entry["max_fanout"]
+            fingerprint = entry["fingerprint"]
+            tree = entry["tree"]
+            if (
+                type(max_fanout) is not int
+                or not isinstance(tree, str)
+                or not all(type(value) is int for value in fingerprint)
+            ):
+                raise ValueError("malformed page bundle")
+        except (KeyError, TypeError, ValueError):
+            return None
+        page.prime_signature(
+            tag_counts=tag_counts, term_counts=term_counts, max_fanout=max_fanout
+        )
+        page.set_tree_loader(self._tree_loader(key, tree))
+        self._served[key] = entry
+        return frozenset(fingerprint)
+
+    def _tree_loader(self, key: str, text: str):
+        served = self._served
+
+        def load(page: "Page") -> Optional[TagTree]:
+            try:
+                return payload_to_tree(
+                    json.loads(text), source_size=len(page.html), url=page.url
+                )
+            except (ValueError, TypeError, IndexError):
+                # The page parses instead, and the next publish
+                # re-encodes its entry from the parsed tree.
+                served.pop(key, None)
+                return None
+
+        return load
+
+    def publish(
+        self,
+        pages: Sequence["Page"],
+        content_key: Callable[["Page"], str],
+        fingerprint: Callable[["Page"], frozenset[int]],
+    ) -> bool:
+        """Publish the pack of ``pages`` if one of them missed.
+
+        Pages that recur share one entry; pages another extractor
+        counts are left out. ``content_key(page)`` gives a page's
+        content key and ``fingerprint(page)`` a missed page's template
+        fingerprint. Returns whether the slot was written.
+        """
+        bundles: dict[str, dict] = {}
+        missed = False
+        for page in pages:
+            if page.extractor is not DEFAULT_EXTRACTOR:
+                continue
+            key = content_key(page)
+            if key in bundles:
+                continue
+            entry = self._served.get(key)
+            if entry is None:
+                missed = True
+                entry = _bundle(page, fingerprint(page))
+            bundles[key] = entry
+        if missed:
+            self.store.put_json(KIND_PAGES, self.key, bundles)
+        return missed
 
 
 __all__ = [
-    "cached_signature",
-    "cached_tree",
+    "PagePack",
     "payload_to_tree",
-    "put_signature",
-    "put_tree",
     "tree_to_payload",
 ]

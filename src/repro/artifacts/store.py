@@ -1,4 +1,4 @@
-"""The content-addressed on-disk artifact store.
+"""The on-disk artifact store.
 
 Layout: ``<root>/<kind>/<key[:2]>/<key>.<ext>`` — one file per
 artifact, JSON for structured payloads and ``.npz`` for numpy array
@@ -8,9 +8,11 @@ entries.
 Concurrency model: *atomic last-writer-wins*. Every write lands in a
 temp file in the destination directory and is published with
 ``os.replace``, so readers never observe a partial artifact and two
-processes racing to publish the same key both succeed (the artifacts
-are byte-identical by construction — the key is a content address).
-Corrupt or truncated files (a crashed writer on a non-atomic
+processes racing to publish the same key both succeed: a reader sees
+one writer's complete file or the other's. Every value a key can hold
+is valid for it (a page pack entry is looked up by its page's content
+hash, a model names the pages it was fitted on), so either outcome is
+correct. Corrupt or truncated files (a crashed writer on a non-atomic
 filesystem, bit rot) are treated as misses, counted, and overwritten
 by the next put.
 
@@ -32,9 +34,7 @@ from typing import Any, Optional
 from repro.artifacts.keys import sha256_hex  # noqa: F401  (re-export)
 
 #: Artifact kinds get one subdirectory each.
-KIND_TREES = "trees"
-KIND_SIGNATURES = "signatures"
-KIND_RECORDS = "records"
+KIND_PAGES = "pages"
 KIND_MODELS = "models"
 
 _STATS_FILE = "stats.json"
@@ -42,8 +42,8 @@ _COUNTER_FIELDS = ("hits", "misses", "puts", "bytes_written")
 
 
 class ArtifactStore:
-    """A persistent, content-addressed artifact cache rooted at a
-    directory. Safe for concurrent writers (see module docstring)."""
+    """A persistent artifact cache rooted at a directory. Safe for
+    concurrent writers (see module docstring)."""
 
     def __init__(self, root: str | os.PathLike) -> None:
         self.root = os.fspath(root)
@@ -200,9 +200,7 @@ def load_persistent_stats(root: str | os.PathLike) -> dict:
 __all__ = [
     "ArtifactStore",
     "KIND_MODELS",
-    "KIND_RECORDS",
-    "KIND_SIGNATURES",
-    "KIND_TREES",
+    "KIND_PAGES",
     "load_persistent_stats",
     "merge_persistent_stats",
 ]

@@ -62,8 +62,14 @@ class PageletIdentifier:
         self.seed = seed
         self.execution = execution if execution is not None else ExecutionConfig()
 
-    def identify(self, pages: Sequence[Page]) -> IdentificationResult:
+    def identify(
+        self, pages: Sequence[Page], stems: Optional[dict[str, str]] = None
+    ) -> IdentificationResult:
         """Run Phase 2 over one cluster of pages.
+
+        ``stems`` is the caller's word → stem memo for the records'
+        term counts (a ``Thor`` run passes its own); it never changes
+        the result.
 
         Raises :class:`ExtractionError` on an empty cluster. A cluster
         whose pages yield no dynamic subtree sets (e.g. a cluster of
@@ -74,9 +80,7 @@ class PageletIdentifier:
             raise ExtractionError("cannot identify pagelets in an empty cluster")
         cfg = self.config
         candidates = candidate_records_for_cluster(
-            pages,
-            require_branching=cfg.require_branching,
-            execution=self.execution,
+            pages, require_branching=cfg.require_branching, stems=stems
         )
         if not any(candidates):
             return IdentificationResult(tuple(pages), (), (), ())

@@ -44,8 +44,8 @@ class Page:
         #: The probe query that produced this page (empty if unknown).
         self.query = query
         self._tree = tree
-        #: Optional alternative tree source (e.g. the artifact cache's
-        #: lossless codec) consulted before falling back to a parse —
+        #: Optional alternative tree source (e.g. the lossless codec of
+        #: the site's page pack) consulted before falling back to a parse —
         #: see :meth:`set_tree_loader`.
         self._tree_loader = None
         self._tag_counts: Optional[dict[str, int]] = None
@@ -60,8 +60,8 @@ class Page:
         """Install a fallback tree source tried before parsing.
 
         ``loader(page)`` must return a :class:`TagTree` *identical* to
-        what ``parse(page.html)`` would produce (the artifact cache's
-        tree codec is lossless, so a cached load qualifies) or ``None``
+        what ``parse(page.html)`` would produce (the page pack's tree
+        codec is lossless, so a stored load qualifies) or ``None``
         to fall back to parsing. Ignored once a tree exists.
         """
         self._tree_loader = loader

@@ -23,17 +23,17 @@ tokenized and stemmed once; a tag node's counts are its children's
 counts summed in document order. That equals extracting
 ``node.text()`` afresh, insertion order included, because ``text()``
 joins the content nodes with a space and no token contains one. A
-caller-owned stem memo (one cluster call) stems each distinct word
-once.
+caller-owned stem memo (in a run, the run's own) stems each distinct
+word once.
 
 Two output forms exist. :func:`candidate_subtrees` returns live
 :class:`~repro.html.tree.TagNode` handles into the page tree (the
 wrapper uses it). :func:`candidate_records_for_cluster` — the form
 Phase 2 runs on — turns the same candidates into node-free
 :class:`CandidateRecord` values (paths, shape quadruples, subtree term
-counts, sibling shapes) that serialize into the artifact cache; the
-records carry everything downstream Phase-2 steps read from a node.
-Both apply one set of pruning rules (:func:`_keeps`).
+counts, sibling shapes); the records carry everything downstream
+Phase-2 steps read from a node. Both apply one set of pruning rules
+(:func:`_keeps`).
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from repro.config import ExecutionConfig
 from repro.core.page import Page
 from repro.html.paths import child_steps
 from repro.html.tree import TagNode
@@ -160,7 +159,7 @@ def candidate_subtrees_for_cluster(
 
 
 # ---------------------------------------------------------------------------
-# Node-free candidate records (the cacheable form)
+# Node-free candidate records (the form Phase 2 runs on)
 # ---------------------------------------------------------------------------
 
 
@@ -175,8 +174,7 @@ class CandidateRecord:
     counts under the default extractor (dict insertion order is
     load-bearing: it fixes vocabulary column order in the TFIDF
     ranking), and the shapes of the member's DOM siblings (the
-    repeating-unit check in selection). Records round-trip through
-    JSON losslessly.
+    repeating-unit check in selection).
     """
 
     #: Path expression from the page root (the quadruple's P).
@@ -245,108 +243,26 @@ def page_candidate_records(
     return records
 
 
-def record_to_payload(record: CandidateRecord) -> dict:
-    """JSON-ready form of a record (see :mod:`repro.artifacts`)."""
-    return {
-        "path": record.path,
-        "tags": list(record.tags),
-        "fanout": record.fanout,
-        "depth": record.depth,
-        "nodes": record.nodes,
-        "terms": dict(record.term_counts),
-        "siblings": [list(s) for s in record.siblings],
-    }
-
-
-def payload_to_record(payload) -> Optional[CandidateRecord]:
-    """Rebuild a record from JSON, or ``None`` if malformed."""
-    try:
-        return CandidateRecord(
-            path=payload["path"],
-            tags=tuple(payload["tags"]),
-            fanout=int(payload["fanout"]),
-            depth=int(payload["depth"]),
-            nodes=int(payload["nodes"]),
-            term_counts={
-                str(term): int(count)
-                for term, count in payload["terms"].items()
-            },
-            siblings=tuple(
-                (str(tag), int(fanout), int(nodes))
-                for tag, fanout, nodes in payload["siblings"]
-            ),
-        )
-    except (KeyError, TypeError, ValueError, AttributeError):
-        return None
-
-
-def _payloads_to_records(payload) -> Optional[list[CandidateRecord]]:
-    """Decode a cached per-page record list; ``None`` on any defect."""
-    if not isinstance(payload, list):
-        return None
-    records = []
-    for item in payload:
-        record = payload_to_record(item)
-        if record is None:
-            return None
-        records.append(record)
-    return records
-
-
-def _page_records(
-    store, page: Page, require_branching: bool, stems: dict[str, str]
-) -> list[CandidateRecord]:
-    """Candidate records for one page, through the artifact cache.
-
-    On a cache miss the records come from the page's own tree (the
-    quarantine scan's, or parsed here) and both the records and the
-    tree are persisted — the tree saves the re-parse when a warm run
-    later resolves winner paths back to nodes.
-    """
-    from repro.artifacts.keys import candidate_records_key
-    from repro.artifacts.store import KIND_RECORDS
-
-    key = None
-    if store is not None:
-        key = candidate_records_key(page.html, require_branching)
-        cached = _payloads_to_records(store.get_json(KIND_RECORDS, key))
-        if cached is not None:
-            return cached
-    records = page_candidate_records(page, require_branching, stems)
-    if store is not None:
-        from repro.artifacts.pages import put_tree
-
-        store.put_json(
-            KIND_RECORDS, key, [record_to_payload(r) for r in records]
-        )
-        put_tree(store, page.html, page.tree)
-    return records
-
-
 def candidate_records_for_cluster(
     pages: Sequence[Page],
     require_branching: bool = False,
-    execution: Optional[ExecutionConfig] = None,
+    stems: Optional[dict[str, str]] = None,
 ) -> list[list[CandidateRecord]]:
-    """Single-page analysis as records, in this process, cache-backed.
+    """Single-page analysis over a whole page cluster, as records.
 
-    Each page's records come from its own tree — in a run, the tree
-    the quarantine scan already parsed — or, with a configured cache
-    directory, from the persistent store, where a miss publishes them.
-    Output order follows ``pages``, and per-page record order is the
-    document order of :func:`candidate_subtrees`. The pages of a
-    cluster share most of their words, so one stem memo serves the
-    whole call. No worker process is involved: one would re-parse
+    Each page's records come from its own tree: in a run, the tree the
+    quarantine scan parsed, or the one a warm run decodes from the
+    site's page pack. Output order follows ``pages``, and per-page
+    record order is the document order of :func:`candidate_subtrees`.
+    ``stems`` is the caller's word → stem memo (a run passes the one
+    its quarantine scan filled); without one, the pages of the call
+    share their own. No worker process is involved: one would re-parse
     each page and ship its records back, which costs more than the
     whole pass does here (DESIGN.md §10).
     """
-    from repro.runtime import artifact_store_for
-
-    # Without a store nothing is hashed: records come from the page's
-    # own (possibly already parsed) tree.
-    store = artifact_store_for(execution)
-    stems: dict[str, str] = {}
+    if stems is None:
+        stems = {}
     return [
-        _page_records(store, page, require_branching, stems)
+        page_candidate_records(page, require_branching, stems)
         for page in pages
     ]

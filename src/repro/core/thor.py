@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace as dataclass_replace
 from typing import Optional, Sequence
 
+from repro.artifacts.pages import PagePack
 from repro.cluster.assignments import Clustering, assign_to_centroids
 from repro.config import (
     DEFAULT_CONFIG,
@@ -92,7 +93,6 @@ from repro.resilience.watchdog import run_stage
 from repro.runtime import artifact_store_for
 from repro.signatures.content import content_signature
 from repro.signatures.tag import tag_signature
-from repro.text.terms import DEFAULT_EXTRACTOR
 
 #: Clustering configurations the incremental model can assign against
 #: (tf-idf vector spaces reconstructible from the stored vocabulary +
@@ -131,16 +131,46 @@ class ThorResult:
 
 
 @dataclass
+class _SiteRun:
+    """What one stage-driver call knows about its input pages."""
+
+    #: The site name of the model and page-pack slots. It comes from
+    #: the input pages, so a quarantined first page moves neither slot.
+    site: str
+    #: ``id(page)`` → content key (see :meth:`key`).
+    keys: dict[int, str] = field(default_factory=dict)
+    #: ``id(page)`` → template fingerprint: from the page pack, the
+    #: drift gate or the model build, so no tree is hashed twice.
+    fingerprints: dict[int, frozenset] = field(default_factory=dict)
+    #: The run's word → stem memo: the quarantine scan fills it and
+    #: Phase 2 reuses it (DESIGN.md §10).
+    stems: dict[str, str] = field(default_factory=dict)
+    #: The site's page pack, read once (``None`` without a store).
+    pack: Optional[PagePack] = None
+
+    def key(self, page: Page) -> str:
+        """``page``'s content key, hashed at most once per run."""
+        key = self.keys.get(id(page))
+        if key is None:
+            key = self.keys[id(page)] = page_content_key(page.html)
+        return key
+
+    def fingerprint(self, page: Page) -> frozenset:
+        """``page``'s template fingerprint, hashed at most once per run."""
+        fingerprint = self.fingerprints.get(id(page))
+        if fingerprint is None:
+            fingerprint = page_fingerprint(page.tree)
+            self.fingerprints[id(page)] = fingerprint
+        return fingerprint
+
+
+@dataclass
 class _ModelHit:
     """A stored site model that answers Phase 1 of an incremental run."""
 
     model: SiteModel
     #: Content key → stored Phase-1 label (first occurrence wins).
     labels: dict[str, int]
-    #: ``id(page)`` → content key, for every page of the run.
-    keys: dict[int, str]
-    #: ``id(page)`` → fingerprint the drift gate already computed.
-    fingerprints: dict[int, frozenset] = field(default_factory=dict)
     #: Ids of the pages assigned to the stored centroids (the delta).
     assigned: frozenset[int] = frozenset()
 
@@ -208,11 +238,12 @@ class Thor:
     ) -> ThorResult:
         """Stage 2: two-phase QA-Pagelet extraction over sampled pages.
 
-        With a configured artifact cache, pages are prewarmed from the
-        store first (clustering signatures injected, lazy tree loads
-        redirected to the cached lossless codec) and signatures
-        computed on this run are persisted afterwards — the cache only
-        changes *when* values are computed, never what they are.
+        With a configured artifact cache, pages are primed from the
+        site's page pack first (clustering signatures injected, lazy
+        tree loads redirected to the stored lossless codec), and the
+        pack is republished at the end of the run when some page
+        missed it — the cache only changes *when* values are computed,
+        never what they are.
 
         ``options`` apply exactly as in :meth:`run`: a ``run_id``
         checkpoints the Phase-1 fit, ``resume`` restores it (skipping
@@ -279,11 +310,11 @@ class Thor:
         marks complete — after a crash, a resumed run re-probes
         nothing, restores the Phase-1 fit from the cluster checkpoint
         instead of re-running the K-Means restarts, and re-derives
-        Phase-2 work from the warm artifact cache, producing a result
-        digest bitwise-identical to an uninterrupted run. Resume hits
-        are accounted on the run report. ``options.incremental``
-        re-extracts against the stored site model (see
-        :meth:`refresh`).
+        Phase-2 work from the trees of the site's page pack, producing
+        a result digest bitwise-identical to an uninterrupted run.
+        Resume hits are accounted on the run report.
+        ``options.incremental`` re-extracts against the stored site
+        model (see :meth:`refresh`).
         """
         return self._drive(options, source=source)
 
@@ -301,9 +332,10 @@ class Thor:
 
         The one place every stage is called from: checkpoints open
         here, each stage first looks up its stored answer, and the
-        finished run is recorded in the manifest and (when Stage 3
-        ran) re-published as the site model for the next incremental
-        run.
+        finished run is recorded in the manifest, (when Stage 3 ran)
+        re-published as the site model for the next incremental run,
+        and, last, re-published as the site's page pack when a page
+        missed it.
         """
         options = options if options is not None else RunOptions()
         with activate_fault_plan(self.fault_plan), activate_report(self._report):
@@ -311,13 +343,15 @@ class Thor:
             if source is not None:
                 pages = self._probe_stage(source, options, checkpoint)
             self._notify_stage(options, "extract")
-            hit = self._lookup_model(pages) if options.incremental else None
-            primed = self._prime_pages(pages)
-            surviving = self._quarantine_scan(pages)
+            run = _SiteRun(site_identity([page.url for page in pages]))
+            self._prime_pages(pages, run)
+            hit = self._lookup_model(pages, run) if options.incremental else None
+            surviving = self._quarantine_scan(pages, run.stems)
             self._check_survival(len(surviving), len(pages))
-            clustering = self._cluster_stage(surviving, hit, options, checkpoint)
-            outcomes, replayed = self._identify_stage(clustering, hit)
-            self._persist_signatures(surviving, primed)
+            clustering = self._cluster_stage(
+                surviving, hit, run, options, checkpoint
+            )
+            outcomes, replayed = self._identify_stage(clustering, hit, run)
             identifications = tuple(
                 outcome["identification"]
                 for outcome in outcomes
@@ -345,6 +379,7 @@ class Thor:
                 "clustering": clustering,
                 "outcomes": outcomes,
                 "hit": hit,
+                "run": run,
             }
             if checkpoint is not None:
                 from repro.io.export import result_digest
@@ -359,6 +394,8 @@ class Thor:
                 # Feed the next incremental run: every completed run
                 # (and every refresh) re-publishes the fitted model.
                 self.persist_model(result)
+            if run.pack is not None:
+                run.pack.publish(surviving, run.key, run.fingerprint)
             self._flush_artifact_stats()
             return result
 
@@ -439,17 +476,18 @@ class Thor:
 
     # -- page preparation ----------------------------------------------------
 
-    def _quarantine_scan(self, pages: Sequence[Page]) -> list[Page]:
+    def _quarantine_scan(
+        self, pages: Sequence[Page], stems: dict[str, str]
+    ) -> list[Page]:
         """Force each page's parse + signature analysis, quarantining
         the ones that raise; returns the surviving pages in order.
 
-        One stem memo serves the whole scan: a site's pages share most
-        of their words, so each distinct word is stemmed once per run.
+        ``stems`` is the run's stem memo: a site's pages share most of
+        their words, so each distinct word is stemmed once per run.
         It lives only as long as the run, unlike a process-wide memo.
         """
         plan = active_fault_plan()
         surviving: list[Page] = []
-        stems: dict[str, str] = {}
         for index, page in enumerate(pages):
             unit = page.url or f"page[{index}]"
             try:
@@ -479,61 +517,23 @@ class Thor:
             "template from what is mostly junk"
         )
 
-    def _prime_pages(self, pages: Sequence[Page]) -> set[int]:
-        """Warm pages from the artifact store; return primed page ids.
+    def _prime_pages(self, pages: Sequence[Page], run: _SiteRun) -> None:
+        """Warm pages from the site's page pack, read once.
 
-        Every page's lazy tree load is redirected to the store's
-        lossless tree codec, and a stored signature bundle is injected
-        so the quarantine scan and Phase 1 skip recomputing it.
+        Each page the pack holds gets its stored signatures injected,
+        a lazy tree loader onto the stored lossless codec, and its
+        fingerprint recorded in ``run``, so the quarantine scan, Phase
+        1 and the site model compute none of them. Without a store,
+        nothing is read and no page is hashed.
         """
-        store = artifact_store_for(self.execution)
-        primed: set[int] = set()
-        if store is None:
-            return primed
-        from repro.artifacts.pages import cached_signature, cached_tree
-
-        def load_tree(page: Page):
-            return cached_tree(store, page.html, page.url)
-
-        for page in pages:
-            page.set_tree_loader(load_tree)
-            signature = cached_signature(store, page.html)
-            if signature is None:
-                continue
-            try:
-                page.prime_signature(
-                    tag_counts={
-                        str(tag): int(count)
-                        for tag, count in signature["tag_counts"].items()
-                    },
-                    term_counts={
-                        str(term): int(count)
-                        for term, count in signature["term_counts"].items()
-                    },
-                    max_fanout=int(signature["max_fanout"]),
-                )
-            except (TypeError, ValueError, AttributeError):
-                continue  # malformed bundle: fall back to computing
-            primed.add(id(page))
-        return primed
-
-    def _persist_signatures(self, pages: Sequence[Page], primed: set[int]) -> None:
-        """Publish the signatures computed this run."""
         store = artifact_store_for(self.execution)
         if store is None:
             return
-        from repro.artifacts.pages import put_signature
-
+        run.pack = PagePack(store, run.site)
         for page in pages:
-            if id(page) in primed or page.extractor is not DEFAULT_EXTRACTOR:
-                continue
-            put_signature(
-                store,
-                page.html,
-                page.tag_counts(),
-                page.term_counts(),
-                page.max_fanout(),
-            )
+            fingerprint = run.pack.prime(page, run.key(page))
+            if fingerprint is not None:
+                run.fingerprints[id(page)] = fingerprint
 
     def _flush_artifact_stats(self) -> None:
         """Fold this process's store counters into :meth:`artifact_stats`
@@ -566,13 +566,14 @@ class Thor:
         self,
         surviving: list[Page],
         hit: Optional[_ModelHit],
+        run: _SiteRun,
         options: RunOptions,
         checkpoint,
     ) -> PageClusteringResult:
         """Phase 1: assigned from the site model (incremental), restored
         from the cluster checkpoint (resume), or fitted."""
         if hit is not None:
-            return self._refresh_assign(surviving, hit)
+            return self._refresh_assign(surviving, hit, run)
         if checkpoint is not None:
             store, manifest = checkpoint
             if options.resume and manifest.stage_complete("cluster"):
@@ -597,8 +598,10 @@ class Thor:
             save_manifest(store, manifest)
         return clustering
 
-    def _lookup_model(self, pages: Sequence[Page]) -> Optional[_ModelHit]:
-        """The incremental lookup, made before the pages are primed:
+    def _lookup_model(
+        self, pages: Sequence[Page], run: _SiteRun
+    ) -> Optional[_ModelHit]:
+        """The incremental lookup, made before the quarantine scan:
         the site model, when it may answer Phase 1 for ``pages``.
 
         ``None`` — after counting a model miss (no store, an
@@ -618,9 +621,7 @@ class Thor:
                 in _INCREMENTAL_SIGNATURES
             ):
                 model = load_model(
-                    store,
-                    site_identity([page.url for page in pages]),
-                    config_fingerprint(self.config),
+                    store, run.site, config_fingerprint(self.config)
                 )
             if model is None:
                 self._report.incremental_event("model_misses")
@@ -628,16 +629,11 @@ class Thor:
                 labels: dict[str, int] = {}
                 for key, label in zip(model.page_keys, model.labels):
                     labels.setdefault(key, label)
-                hit = _ModelHit(
-                    model,
-                    labels,
-                    {id(page): page_content_key(page.html) for page in pages},
-                )
+                hit = _ModelHit(model, labels)
         if hit is not None and cfg.mode == "auto":
-            changed = [p for p in pages if hit.keys[id(p)] not in hit.labels]
+            changed = [p for p in pages if run.key(p) not in hit.labels]
             if changed and (
-                self._max_drift(changed, hit.model, hit.fingerprints)
-                > cfg.drift_threshold
+                self._max_drift(changed, hit.model, run) > cfg.drift_threshold
             ):
                 self._report.incremental_event("drift_events")
                 hit = None
@@ -646,35 +642,34 @@ class Thor:
         return hit
 
     def _max_drift(
-        self, pages: Sequence[Page], model: SiteModel, fingerprints: dict
+        self, pages: Sequence[Page], model: SiteModel, run: _SiteRun
     ) -> float:
         """Worst per-page fingerprint drift vs the stored clusters.
 
         A page whose parse raises contributes nothing here — the
-        quarantine scan, not the drift gate, decides its fate. Computed
-        fingerprints are stashed in ``fingerprints`` (by page id) so
-        the model republish does not hash the same trees twice.
+        quarantine scan, not the drift gate, decides its fate.
+        Fingerprints come from and go to ``run``'s map, so the model
+        republish does not hash the same trees twice.
         """
         drift = 0.0
         for page in pages:
             try:
-                fingerprint = page_fingerprint(page.tree)
+                fingerprint = run.fingerprint(page)
             except ThorError:
                 continue
-            fingerprints[id(page)] = fingerprint
             drift = max(
                 drift, fingerprint_drift(fingerprint, model.fingerprints)
             )
         return drift
 
     def _refresh_assign(
-        self, pages: Sequence[Page], hit: _ModelHit
+        self, pages: Sequence[Page], hit: _ModelHit, run: _SiteRun
     ) -> PageClusteringResult:
         """Phase 1 from the site model: unchanged pages keep their
         stored label and changed pages are assigned to the stored
         centroids with one cosine matmul (no refit)."""
         model = hit.model
-        labels = {id(page): hit.labels.get(hit.keys[id(page)]) for page in pages}
+        labels = {id(page): hit.labels.get(run.key(page)) for page in pages}
         fresh = [page for page in pages if labels[id(page)] is None]
         if fresh:
             from repro.vsm.matrix import encode_tfidf
@@ -705,7 +700,10 @@ class Thor:
     # -- stage 2, phase 2 ----------------------------------------------------
 
     def _identify_stage(
-        self, clustering: PageClusteringResult, hit: Optional[_ModelHit]
+        self,
+        clustering: PageClusteringResult,
+        hit: Optional[_ModelHit],
+        run: _SiteRun,
     ) -> tuple[list[dict], dict]:
         """Phase 2 over the top-m clusters, one outcome per cluster.
 
@@ -739,13 +737,15 @@ class Thor:
             try:
                 replay = None
                 if record is not None and record.page_keys == tuple(
-                    hit.keys[id(page)] for page in members
+                    run.key(page) for page in members
                 ):
                     replay = self._replay_cluster(record, members)
                 if replay is None:
                     outcome["identification"] = self._run_stage(
                         "identify",
-                        lambda pages=members: self._identifier.identify(pages),
+                        lambda pages=members: self._identifier.identify(
+                            pages, stems=run.stems
+                        ),
                     )
                 else:
                     outcome["identification"], parts = replay
@@ -875,6 +875,7 @@ class Thor:
         k = clustering_result.clustering.k
         labels = clustering_result.clustering.labels
         hit: Optional[_ModelHit] = fit["hit"]
+        run: _SiteRun = fit["run"]
         if hit is not None:
             # Assign-tier refresh: the stored geometry is still the
             # fit of record — carry it forward verbatim and extend the
@@ -886,12 +887,8 @@ class Thor:
             centroids = hit.model.centroids
             unions = [set(union) for union in hit.model.fingerprints]
             for page, label in zip(pages, labels):
-                if id(page) not in hit.assigned:
-                    continue
-                fingerprint = hit.fingerprints.get(id(page))
-                if fingerprint is None:
-                    fingerprint = page_fingerprint(page.tree)
-                unions[label] |= fingerprint
+                if id(page) in hit.assigned:
+                    unions[label] |= run.fingerprint(page)
         else:
             signature = _INCREMENTAL_SIGNATURES[
                 self.config.clustering.configuration
@@ -903,7 +900,7 @@ class Thor:
             )
             unions = [set() for _ in range(k)]
             for page, label in zip(pages, labels):
-                unions[label] |= page_fingerprint(page.tree)
+                unions[label] |= run.fingerprint(page)
         partition_map = {
             id(part.pagelet): part for part in result.partitioned
         }
@@ -937,18 +934,16 @@ class Thor:
             cluster_records.append(
                 ClusterRecord(
                     cluster=outcome["cluster"],
-                    page_keys=tuple(
-                        page_content_key(page.html) for page in members
-                    ),
+                    page_keys=tuple(run.key(page) for page in members),
                     quarantined=outcome["quarantined"],
                     pagelets=tuple(pagelet_records),
                 )
             )
         return SiteModel(
-            site=site_identity([page.url for page in pages]),
+            site=run.site,
             config_fingerprint=config_fingerprint(self.config),
             k=k,
-            page_keys=tuple(page_content_key(page.html) for page in pages),
+            page_keys=tuple(run.key(page) for page in pages),
             labels=tuple(labels),
             scores=tuple(
                 {

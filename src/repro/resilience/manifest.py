@@ -8,16 +8,16 @@ finished work — and, because every checkpoint stores exactly what the
 live stage produced, with a result digest bitwise-identical to an
 uninterrupted run.
 
-Manifests live in the same content-addressed artifact store as every
-other intermediate (kind ``runs``), published atomically, so a crash
+Manifests live in the same artifact store as every other
+intermediate (kind ``runs``), published atomically, so a crash
 *during* checkpointing leaves either the previous manifest or the new
 one — never a torn state. The probe checkpoint stores the full page
 records (HTML + labels, the same JSONL schema as
 :mod:`repro.io.cache`); the cluster checkpoint stores the Phase-1 fit
 (labels, k, ranking scores) so a resumed run skips the K-Means
-restarts too, not just the probe; Phase-2 intermediates need no
-per-run checkpoint because the content-addressed cache already serves
-them warm on resume.
+restarts too, not just the probe; page analysis needs no per-run
+checkpoint because the site's page pack already serves it warm on
+resume.
 
 A manifest carries the *configuration fingerprint* of the run that
 wrote it. Resuming under a different seed or stage configuration would

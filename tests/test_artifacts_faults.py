@@ -14,11 +14,11 @@ import os
 
 import numpy as np
 
-from repro.artifacts import ArtifactStore, collect
+from repro.artifacts import KIND_PAGES, ArtifactStore, collect
 from repro.artifacts.gc import iter_entries
 from repro.resilience import FaultPlan, activate_fault_plan
 
-KIND = "records"
+KIND = KIND_PAGES
 
 
 def _artifact_path(store: ArtifactStore, kind: str, key: str, ext: str) -> str:
@@ -141,3 +141,33 @@ class TestGcUnderCorruption:
         for i in range(10):
             value = store.get_json(KIND, f"k{i}" + "0" * 8)
             assert value is None or value == {"i": i}
+
+
+class TestTornPagePack:
+    def test_truncated_pack_is_one_miss_and_republished(self, tmp_path):
+        from repro import api
+        from repro.core.thor import Thor
+        from repro.io.export import result_digest
+        from repro.runtime import clear_artifact_store_registry
+
+        def run(execution):
+            clear_artifact_store_registry()
+            thor = Thor(api.ThorConfig(seed=4, execution=execution))
+            result = thor.run(api.make_site("library", seed=4))
+            return result, thor.artifact_stats()
+
+        storeless, _ = run(api.ExecutionConfig(artifact_cache="off"))
+        execution = api.ExecutionConfig(cache_dir=str(tmp_path))
+        run(execution)
+        (pack,) = (tmp_path / KIND).rglob("*.json")
+        _truncate(str(pack))
+        torn, stats = run(execution)
+        # One counted miss, every page recomputed, the same digest, and
+        # a readable pack published again (with the model).
+        assert stats["hits"] == 0 and stats["misses"] == 1
+        assert stats["puts"] == 2
+        assert result_digest(torn) == result_digest(storeless)
+        warm, stats = run(execution)
+        assert stats["hits"] == 1 and stats["misses"] == 0
+        assert stats["puts"] == 1
+        assert result_digest(warm) == result_digest(storeless)

@@ -131,11 +131,14 @@ class TestChaosDigestInvariant:
         reference = Thor(ThorConfig(seed=5)).run(
             make_site(domain, seed=5, records=60)
         )
+        # A site run publishes two files (its model and its page
+        # pack), so every publish is torn: a lower rate could spare
+        # both and test nothing.
         plan = FaultPlan(
             seed=5,
             worker_crash_rate=0.4,
             chunk_error_rate=0.3,
-            artifact_corrupt_rate=0.3,
+            artifact_corrupt_rate=1.0,
         )
         config = ThorConfig(
             seed=5,
@@ -283,11 +286,11 @@ class _FailFirstIdentifier:
         self._inner = inner
         self.calls = 0
 
-    def identify(self, pages):
+    def identify(self, pages, stems=None):
         self.calls += 1
         if self.calls == 1:
             raise ExtractionError("injected: cluster analysis failed")
-        return self._inner.identify(pages)
+        return self._inner.identify(pages, stems)
 
 
 class _CountingIdentifier:
@@ -295,9 +298,9 @@ class _CountingIdentifier:
         self._inner = inner
         self.calls = 0
 
-    def identify(self, pages):
+    def identify(self, pages, stems=None):
         self.calls += 1
-        return self._inner.identify(pages)
+        return self._inner.identify(pages, stems)
 
 
 class TestIncrementalChaos:

@@ -274,6 +274,43 @@ class TestModelBundle:
         assert counters.get("model_misses", 0) == 1
         assert counters.get("refit", 0) == len(result.pages)
 
+    def test_quarantined_first_page_keeps_the_slot(self, tmp_path):
+        """URLs without a netloc name the site by the first URL's hash,
+        so the slot must come from the input pages: the surviving ones
+        would name another slot whenever the first page is quarantined."""
+        from repro.deepweb import generate_corpus
+        from repro.errors import HtmlParseError
+
+        class ExplodingPage(Page):
+            def tag_counts(self):
+                raise HtmlParseError("injected pathological page")
+
+        sample = generate_corpus(n_sites=1, seed=9, domains=["movies"])[0]
+
+        def pages():
+            bad = ExplodingPage(
+                "<html><body><p>bad</p></body></html>", url="search?q=bad"
+            )
+            return [bad] + [
+                Page(page.html, url=f"search?q={index}", query=page.query)
+                for index, page in enumerate(list(sample.pages)[:24])
+            ]
+
+        config = ThorConfig(
+            seed=1, execution=ExecutionConfig(cache_dir=str(tmp_path))
+        )
+        first = Thor(config).refresh(pages())
+        thor = Thor(config)
+        second = thor.refresh(pages())
+        counters = thor.report().incremental
+        assert counters.get("model_misses", 0) == 0
+        assert counters.get("refit", 0) == 0
+        assert counters.get("skipped", 0) == 24
+        assert result_digest(second) == result_digest(first)
+        # The page pack sits in the same site's slot: every page that
+        # survived came from it.
+        assert thor.artifact_stats()["puts"] == 1  # the model only
+
 
 class TestFingerprints:
     def _tree(self, html: str):

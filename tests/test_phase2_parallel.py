@@ -1,25 +1,30 @@
-"""Bitwise-equivalence tests for the cache-backed Phase 2.
+"""Bitwise-equivalence tests for Phase 2 and the store-backed site run.
 
 Phase 2 runs on node-free candidate records, built in the driving
-process at any ``n_jobs``. The hard invariant under test: records
-round-tripped through the persistent artifact store produce *bitwise
-identical* extraction output to the plain serial, storeless run —
-``n_jobs=2`` == serial, store == storeless and warm == cold, on every
-deep-web domain — and processes publishing into one store concurrently
-(fleet workers do) leave it exact. The records themselves must replay
-what the live DOM would decide.
+process at any ``n_jobs`` from the page trees, with the run's stem
+memo. The hard invariant under test: a site run through the persistent
+artifact store produces *bitwise identical* output to the plain
+serial, storeless run — ``n_jobs=2`` == serial and cold == warm ==
+storeless, on every deep-web domain; a page pack entry never serves a
+changed page; and processes publishing one site into one store
+concurrently (fleet workers do) leave it readable and exact. The
+records themselves must replay what the live DOM would decide.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import shutil
+import tempfile
 
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from repro.config import ExecutionConfig, SubtreeConfig
+from repro import api
+from repro.config import ExecutionConfig, ProbeConfig, SubtreeConfig
 from repro.core.identification import PageletIdentifier
 from repro.core.page import Page
 from repro.core.selection import _has_similar_dom_siblings
@@ -27,8 +32,6 @@ from repro.core.single_page import (
     candidate_records_for_cluster,
     candidate_subtrees,
     candidate_subtrees_for_cluster,
-    payload_to_record,
-    record_to_payload,
 )
 from repro.core.subtree_ranking import rank_subtree_sets
 from repro.core.subtree_sets import (
@@ -36,9 +39,12 @@ from repro.core.subtree_sets import (
     make_candidate,
     make_candidate_from_record,
 )
+from repro.core.thor import Thor
 from repro.deepweb import generate_corpus
 from repro.deepweb.domains import DOMAINS
+from repro.deepweb.templates import mutate_page_structure, mutate_page_text
 from repro.html.paths import TagCodec
+from repro.io.export import result_digest as run_digest
 from tests.oracles.records import candidate_record
 from tests.oracles.selection import has_similar_dom_siblings
 
@@ -97,23 +103,38 @@ def fresh_caches():
     reset()
 
 
-def identify(pages, execution=None):
+def identify(pages, execution=None, stems=None):
     # The prototype-page draw is seeded: an unseeded identifier would
     # make the two runs we compare diverge for reasons unrelated to
-    # the record/cache machinery under test.
+    # the record machinery under test.
     return PageletIdentifier(
         SubtreeConfig(), seed=0, execution=execution
-    ).identify(pages)
+    ).identify(pages, stems)
+
+
+#: A smaller probe sample than the default 110 keeps each site run
+#: quick; every stage still runs.
+PROBES = ProbeConfig(dictionary_queries=24, nonsense_queries=4)
+
+
+def site_run(domain, execution, seed=3):
+    """``api.run`` of one site: its digest and the store's counters."""
+    from repro.runtime import clear_artifact_store_registry
+
+    clear_artifact_store_registry()  # each run reads the disk afresh
+    thor = Thor(api.ThorConfig(seed=seed, probing=PROBES, execution=execution))
+    result = thor.run(api.make_site(domain, seed=seed))
+    return run_digest(result), thor.artifact_stats()
+
+
+def extract_digest(pages, execution) -> str:
+    """Stages 2-3 over fresh copies of ``pages``."""
+    thor = Thor(api.ThorConfig(seed=1, execution=execution))
+    copies = [Page(p.html, url=p.url, query=p.query) for p in pages]
+    return run_digest(thor.partition(thor.extract(copies)))
 
 
 class TestRecordPipeline:
-    def test_record_round_trips_through_json(self):
-        pages = cluster_pages("ecommerce", n=3)
-        nodes = candidate_subtrees_for_cluster(pages)
-        for node in nodes[0]:
-            record = candidate_record(node)
-            assert payload_to_record(record_to_payload(record)) == record
-
     def test_records_match_nodes_without_cache(self):
         pages = cluster_pages("music", n=4)
         from_nodes = [
@@ -121,10 +142,6 @@ class TestRecordPipeline:
             for page_nodes in candidate_subtrees_for_cluster(pages)
         ]
         assert candidate_records_for_cluster(pages) == from_nodes
-
-    def test_malformed_payload_decodes_to_none(self):
-        assert payload_to_record({"path": "html"}) is None
-        assert payload_to_record("nonsense") is None
 
     @settings(max_examples=2, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=3))
@@ -164,14 +181,22 @@ class TestBitwiseEquivalence:
     def test_storeless_matches_store_on_every_domain(
         self, domain, seed, tmp_path_factory
     ):
-        # Records built in place (no execution config) vs records
-        # published to and served through a cache dir, serial both times.
+        # Phase 2 with a stem memo the run's quarantine scan filled
+        # equals Phase 2 with none: a memo never changes a result.
         pages = cluster_pages(domain, seed=seed, n=8)
         baseline = result_digest(pages, identify(pages))
+        stems: dict[str, str] = {}
+        scanned = cluster_pages(domain, seed=seed, n=8)
+        for page in scanned:
+            page.term_counts(stems)
+        assert stems
+        assert result_digest(scanned, identify(scanned, stems=stems)) == baseline
+        # Stages 2-3 storeless, cold into a store, and warm from it.
+        storeless = extract_digest(pages, ExecutionConfig(artifact_cache="off"))
         root = tmp_path_factory.mktemp(f"store-{domain}-{seed}")
         execution = ExecutionConfig(cache_dir=str(root))
-        recorded = result_digest(pages, identify(pages, execution))
-        assert recorded == baseline
+        assert extract_digest(pages, execution) == storeless
+        assert extract_digest(pages, execution) == storeless
 
     @pytest.mark.parametrize("domain", ALL_DOMAINS)
     def test_parallel_matches_serial(self, domain):
@@ -182,79 +207,100 @@ class TestBitwiseEquivalence:
         )
         assert parallel == baseline
 
-    def test_warm_equals_cold_with_hits(self, tmp_path, fresh_caches):
-        from repro.runtime import artifact_store_for
+    def test_warm_equals_cold_with_hits(self, tmp_path):
+        for domain in ALL_DOMAINS:
+            execution = ExecutionConfig(cache_dir=str(tmp_path / domain))
+            storeless, _ = site_run(domain, ExecutionConfig(artifact_cache="off"))
+            cold, cold_stats = site_run(domain, execution)
+            warm, warm_stats = site_run(domain, execution)
+            assert cold == warm == storeless, domain
+            # Cold: the pack misses, then the model and the pack
+            # publish. Warm: the pack hits and only the model publishes.
+            assert (cold_stats["hits"], cold_stats["puts"]) == (0, 2), domain
+            assert (warm_stats["hits"], warm_stats["misses"]) == (1, 0), domain
+            assert warm_stats["puts"] == 1, domain
 
-        execution = ExecutionConfig(cache_dir=str(tmp_path))
-        pages = cluster_pages("travel", n=8)
-        baseline = result_digest(pages, identify(pages))
-
-        cold = result_digest(pages, identify(pages, execution))
-        cold_stats = artifact_store_for(execution).stats()
-        assert cold_stats["puts"] > 0
-        assert cold_stats["hits"] == 0
-
-        fresh_caches()  # drop every in-memory cache; disk survives
-        warm_pages = cluster_pages("travel", n=8)  # unparsed pages
-        warm = result_digest(warm_pages, identify(warm_pages, execution))
-        warm_stats = artifact_store_for(execution).stats()
-        assert warm_stats["hits"] > 0
-        assert warm_stats["puts"] == 0
-
-        assert cold == baseline
-        assert warm == baseline
-
-    def test_warm_parallel_matches_too(self, tmp_path, fresh_caches):
-        pages = cluster_pages("jobs", n=8)
-        baseline = result_digest(pages, identify(pages))
-        execution = ExecutionConfig(n_jobs=2, cache_dir=str(tmp_path))
-        cold = result_digest(pages, identify(pages, execution))
-        fresh_caches()
-        warm_pages = cluster_pages("jobs", n=8)
-        warm = result_digest(warm_pages, identify(warm_pages, execution))
-        assert cold == baseline
-        assert warm == baseline
+    def test_warm_parallel_matches_too(self, tmp_path):
+        storeless, _ = site_run("jobs", ExecutionConfig(artifact_cache="off"))
+        cold, _ = site_run("jobs", ExecutionConfig(cache_dir=str(tmp_path)))
+        warm, stats = site_run(
+            "jobs", ExecutionConfig(n_jobs=2, cache_dir=str(tmp_path))
+        )
+        assert cold == warm == storeless
+        assert stats["hits"] == 1 and stats["misses"] == 0
 
 
-def _publishing_records_worker(cache_root, htmls):
-    """Process-pool worker: records for a chunk of pages through the
-    store at ``cache_root``, publishing every miss."""
-    from repro.runtime import artifact_store_for
+#: domain → (TemporaryDirectory holding a cold run's store, its pages).
+_PREVIOUS_RUNS: dict = {}
 
-    execution = ExecutionConfig(cache_dir=cache_root)
-    records = candidate_records_for_cluster(
-        [Page(html) for html in htmls], execution=execution
+
+def _previous_run(domain: str):
+    """A store a cold run over the site's first 24 pages filled."""
+    if domain not in _PREVIOUS_RUNS:
+        pages = cluster_pages(domain, seed=5, n=24)
+        tmp = tempfile.TemporaryDirectory()
+        extract_digest(pages, ExecutionConfig(cache_dir=tmp.name))
+        _PREVIOUS_RUNS[domain] = (tmp, pages)
+    tmp, pages = _PREVIOUS_RUNS[domain]
+    return tmp.name, pages
+
+
+class TestPagePackNeverServesAChangedPage:
+    @settings(max_examples=10, deadline=None)
+    @given(
+        domain=st.sampled_from(ALL_DOMAINS),
+        drift=st.dictionaries(
+            st.integers(min_value=0, max_value=23),
+            st.sampled_from([mutate_page_text, mutate_page_structure]),
+            min_size=1,
+            max_size=8,
+        ),
     )
-    artifact_store_for(execution).flush_stats()
-    return records
+    def test_drifted_pages_recompute(self, domain, drift, tmp_path_factory):
+        previous, pages = _previous_run(domain)
+        drifted = [
+            Page(drift[i](p.html, seed=i), url=p.url, query=p.query)
+            if i in drift
+            else p
+            for i, p in enumerate(pages)
+        ]
+        store = str(tmp_path_factory.mktemp(f"warm-{domain}") / "store")
+        shutil.copytree(previous, store)
+        warm = extract_digest(drifted, ExecutionConfig(cache_dir=store))
+        assert warm == extract_digest(
+            drifted, ExecutionConfig(artifact_cache="off")
+        )
+
+
+def _racing_site_run(cache_root, domains):
+    """Process-pool worker: a cold ``api.run`` of each site into the
+    store at ``cache_root``, publishing its model and page pack."""
+    digest, _ = site_run(domains[0], ExecutionConfig(cache_dir=cache_root))
+    return [(os.getpid(), digest)]
 
 
 class TestConcurrentWriters:
     def test_two_workers_race_on_the_same_keys(self, tmp_path):
-        """Two processes publishing the same artifacts concurrently.
+        """Two processes publishing one site's slots concurrently.
 
-        Every page appears in both workers' chunks, so both processes
-        race to publish every key. Last-writer-wins atomic publishes
-        mean the store stays readable and the records stay exact.
+        Both workers run the same site cold into one store, so both
+        miss the page pack and race to publish it and the model.
+        Last-writer-wins atomic publishes leave a readable pack, and a
+        warm read-back from it is exact.
         """
         from repro.runtime import run_chunked
 
-        pages = cluster_pages("library", n=6)
-        htmls = [p.html for p in pages]
-        expected = candidate_records_for_cluster(pages)
-        # Duplicate the whole page list: chunking over 2 workers gives
-        # each worker one full copy, racing on every key.
-        doubled = run_chunked(
-            _publishing_records_worker,
-            str(tmp_path),
-            htmls + htmls,
-            2,
+        storeless, _ = site_run("library", ExecutionConfig(artifact_cache="off"))
+        raced = run_chunked(
+            _racing_site_run, str(tmp_path), ["library", "library"], 2
         )
-        assert doubled[: len(htmls)] == expected
-        assert doubled[len(htmls) :] == expected
-        # And a warm read-back from the racing writers' store is exact.
-        warm = candidate_records_for_cluster(
-            cluster_pages("library", n=6),
-            execution=ExecutionConfig(cache_dir=str(tmp_path)),
+        assert len({pid for pid, _ in raced}) == 2  # two processes ran
+        assert [digest for _, digest in raced] == [storeless, storeless]
+        (pack,) = (tmp_path / "pages").rglob("*.json")
+        assert isinstance(json.loads(pack.read_text(encoding="utf-8")), dict)
+        warm, stats = site_run(
+            "library", ExecutionConfig(cache_dir=str(tmp_path))
         )
-        assert warm == expected
+        assert warm == storeless
+        assert stats["hits"] == 1 and stats["misses"] == 0
+        assert stats["puts"] == 1  # every page came from the pack
