@@ -89,9 +89,12 @@ def collect(
 
     ``max_bytes=None`` disables the byte budget; ``max_age_s=None``
     disables age expiry. With both ``None`` this is a pure scan
-    (nothing is removed), which is how ``repro artifacts-gc --stats``
-    reports usage.
+    (nothing is removed). A negative bound raises :class:`ValueError`:
+    it would evict every entry.
     """
+    for name, bound in (("max_bytes", max_bytes), ("max_age_s", max_age_s)):
+        if bound is not None and bound < 0:
+            raise ValueError(f"{name} must be >= 0, got {bound}")
     root = os.fspath(root)
     entries = sorted(iter_entries(root), key=lambda e: (e[2], e[0]))
     scanned_bytes = sum(size for _, size, _ in entries)

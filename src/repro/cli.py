@@ -31,6 +31,15 @@ lanes, dedup, ``--resume``) and prints a deterministic corpus digest;
 ``demo`` prints a human-readable summary; ``search`` spins up
 the deep-web search engine over several simulated sources;
 ``artifacts-gc`` bounds and reports the persistent artifact cache.
+
+Every flag that configures the pipeline names the field it sets as
+its argparse ``dest``: a :class:`~repro.config.ThorConfig` path
+(``--k`` sets ``clustering.k``, ``--shard-pages`` sets
+``crawl.corpus_shard_pages``), or a ``fault_plan.`` path for the
+``--chaos-*`` flags and probe's ``--fault-*`` flags. An unset flag
+leaves nothing on the namespace, so its field keeps the dataclass
+default. :func:`main` builds the config and the fault plan once and
+exits 2 when a config rejects a value.
 """
 
 from __future__ import annotations
@@ -46,9 +55,6 @@ from typing import Optional, Sequence
 from repro.config import (
     INCREMENTAL_MODES,
     WATCHDOG_STAGES,
-    ExecutionConfig,
-    FleetConfig,
-    IncrementalConfig,
     RunOptions,
     StageTimeouts,
     ThorConfig,
@@ -58,138 +64,80 @@ from repro.deepweb.corpus import make_site
 from repro.engine.engine import DeepWebSearchEngine
 from repro.io.cache import load_pages, save_pages
 from repro.io.export import export_result
+from repro.resilience.faults import FaultPlan, FaultSpec
+
+
+#: Dest prefix of the flags that set fields of the chaos
+#: :class:`~repro.resilience.faults.FaultPlan`; every other dotted dest
+#: is a :class:`ThorConfig` field path.
+_PLAN = "fault_plan."
+
+
+def _with_fields(obj, values: dict):
+    """``obj`` with each ``field`` or ``field.sub...`` path of ``values``
+    set: one :func:`dataclasses.replace` per dataclass it touches.
+
+    >>> _with_fields(ThorConfig(), {"clustering.k": 3}).clustering.k
+    3
+    """
+    fields: dict = {}
+    nested: dict = {}
+    for path, value in values.items():
+        name, dot, rest = path.partition(".")
+        if dot:
+            nested.setdefault(name, {})[rest] = value
+        else:
+            fields[name] = value
+    for name, sub in nested.items():
+        fields[name] = _with_fields(getattr(obj, name), sub)
+    return replace(obj, **fields)
 
 
 def _thor_config(args: argparse.Namespace) -> ThorConfig:
-    config = ThorConfig(seed=args.seed)
-    if getattr(args, "k", None):
-        config = replace(
-            config, clustering=replace(config.clustering, k=args.k)
-        )
-    if getattr(args, "top_m", None):
-        config = replace(
-            config, clustering=replace(config.clustering, top_m=args.top_m)
-        )
-    jobs = getattr(args, "jobs", None)
-    cache_dir = getattr(args, "cache_dir", None)
-    no_artifact_cache = getattr(args, "no_artifact_cache", False)
-    no_recovery = getattr(args, "no_recovery", False)
-    chunk_retries = getattr(args, "chunk_retries", None)
-    stage_timeout_entries = getattr(args, "stage_timeout", None)
-    stage_timeouts = (
-        StageTimeouts(
-            **dict(pair for entry in stage_timeout_entries for pair in entry)
-        )
-        if stage_timeout_entries
-        else None
+    """The :class:`ThorConfig` the flags name. A flag that sets a field
+    has the field's path as its dest and puts nothing on the namespace
+    when left unset, so the field keeps its dataclass default."""
+    return _with_fields(
+        ThorConfig(seed=args.seed),
+        {
+            dest: value
+            for dest, value in vars(args).items()
+            if "." in dest and not dest.startswith(_PLAN)
+        },
     )
-    min_surviving = getattr(args, "min_surviving_fraction", None)
-    distance_memo = getattr(args, "distance_memo_entries", None)
-    if (
-        jobs is not None
-        or cache_dir is not None
-        or no_artifact_cache
-        or no_recovery
-        or chunk_retries is not None
-        or stage_timeouts is not None
-        or min_surviving is not None
-        or distance_memo is not None
-    ):
-        defaults = ExecutionConfig()
-        config = replace(
-            config,
-            execution=ExecutionConfig(
-                n_jobs=1 if jobs is None else jobs,
-                cache_dir=cache_dir,
-                artifact_cache="off" if no_artifact_cache else "on",
-                recovery="off" if no_recovery else "on",
-                chunk_retries=defaults.chunk_retries
-                if chunk_retries is None
-                else chunk_retries,
-                stage_timeouts=stage_timeouts,
-                min_surviving_fraction=defaults.min_surviving_fraction
-                if min_surviving is None
-                else min_surviving,
-                distance_memo_entries=defaults.distance_memo_entries
-                if distance_memo is None
-                else distance_memo,
-            ),
-        )
-    if getattr(args, "rate", None):
-        config = replace(
-            config, probing=replace(config.probing, rate=args.rate)
-        )
-    drift_threshold = getattr(args, "drift_threshold", None)
-    incremental_mode = getattr(args, "incremental_mode", None)
-    if drift_threshold is not None or incremental_mode is not None:
-        defaults = IncrementalConfig()
-        config = replace(
-            config,
-            incremental=IncrementalConfig(
-                drift_threshold=defaults.drift_threshold
-                if drift_threshold is None
-                else drift_threshold,
-                mode=defaults.mode
-                if incremental_mode is None
-                else incremental_mode,
-            ),
-        )
-    return config
 
 
-def _fault_plan(args: argparse.Namespace):
-    """A seeded chaos :class:`~repro.resilience.faults.FaultPlan` from
-    the ``--chaos-*`` flags, or ``None`` when none are set."""
-    rates = (
-        getattr(args, "chaos_worker_crash_rate", 0.0),
-        getattr(args, "chaos_chunk_error_rate", 0.0),
-        getattr(args, "chaos_artifact_corrupt_rate", 0.0),
-        getattr(args, "chaos_page_failure_rate", 0.0),
+def _fault_plan(args: argparse.Namespace) -> Optional[FaultPlan]:
+    """The seeded chaos :class:`~repro.resilience.faults.FaultPlan` the
+    ``--chaos-*`` and probe's ``--fault-*`` flags name (seeded from
+    ``--seed`` unless ``--chaos-seed``), or ``None`` when they ask for
+    no fault. The ``--fault-*`` flags fill the plan's ``source``, which
+    :class:`Thor` wraps around the probed site."""
+    plan = _with_fields(
+        FaultPlan(seed=args.seed, source=FaultSpec()),
+        {
+            dest[len(_PLAN):]: value
+            for dest, value in vars(args).items()
+            if dest.startswith(_PLAN)
+        },
     )
-    if not any(rates):
-        return None
-    from repro.resilience import FaultPlan
-
-    chaos_seed = getattr(args, "chaos_seed", None)
-    return FaultPlan(
-        seed=args.seed if chaos_seed is None else chaos_seed,
-        worker_crash_rate=rates[0],
-        chunk_error_rate=rates[1],
-        artifact_corrupt_rate=rates[2],
-        page_failure_rate=rates[3],
-    )
+    if plan.source == FaultSpec():
+        plan = replace(plan, source=None)
+    return None if plan == FaultPlan(seed=plan.seed) else plan
 
 
 def _print_run_report(thor: Thor, args: argparse.Namespace) -> None:
-    if getattr(args, "report", False):
+    if args.report:
         from repro.resilience import format_run_report
 
         print(format_run_report(thor.report()))
 
 
-def _fault_wrap(site, args: argparse.Namespace):
-    """Wrap ``site`` in a FaultInjectingSource when fault flags ask."""
-    if not (args.fault_latency_ms or args.fault_error_rate
-            or args.fault_throttle_rate):
-        return site
-    from repro.probe import FaultInjectingSource, FaultSpec
-
-    return FaultInjectingSource(
-        site,
-        FaultSpec(
-            latency_s=args.fault_latency_ms / 1000.0,
-            error_rate=args.fault_error_rate,
-            throttle_rate=args.fault_throttle_rate,
-        ),
-        seed=args.seed,
-    )
-
-
-def cmd_probe(args: argparse.Namespace) -> int:
+def cmd_probe(
+    args: argparse.Namespace, config: ThorConfig, plan: Optional[FaultPlan]
+) -> int:
     site = make_site(args.domain, seed=args.seed, records=args.records)
-    source = _fault_wrap(site, args)
-    thor = Thor(_thor_config(args))
-    result = thor.probe(source)
+    result = Thor(config, fault_plan=plan).probe(site)
     count = save_pages(list(result.pages), args.out)
     classes = Counter(
         getattr(p, "class_label", "?") for p in result.pages
@@ -203,7 +151,9 @@ def cmd_probe(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_extract(args: argparse.Namespace) -> int:
+def cmd_extract(
+    args: argparse.Namespace, config: ThorConfig, plan: Optional[FaultPlan]
+) -> int:
     pages = load_pages(args.pages)
     if pages.skipped:
         print(
@@ -214,7 +164,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     if not pages:
         print("no pages in cache", file=sys.stderr)
         return 1
-    thor = Thor(_thor_config(args), fault_plan=_fault_plan(args))
+    thor = Thor(config, fault_plan=plan)
     thor.record_quarantine(pages.quarantined)
     result = thor.partition(thor.extract(pages))
     export_result(result, args.out, include_html=args.html)
@@ -237,7 +187,9 @@ def _print_artifact_stats(thor: Thor) -> None:
         )
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def cmd_run(
+    args: argparse.Namespace, config: ThorConfig, plan: Optional[FaultPlan]
+) -> int:
     """Probe + extract + partition, with a deterministic result digest.
 
     The digest is the SHA-256 of the exported JSON, so two runs over
@@ -249,10 +201,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.resume and not args.run_id:
         print("--resume requires --run-id", file=sys.stderr)
         return 2
-    config = _thor_config(args)
     site = make_site(args.domain, seed=args.seed, records=args.records)
     source = site
-    if getattr(args, "drift_pages", 0):
+    if args.drift_pages:
         # Template-drift drill: mutate the pages the first N probe
         # terms will fetch, so an --incremental rerun sees a known
         # delta (CI asserts the skipped/assigned/refit counters).
@@ -268,17 +219,15 @@ def cmd_run(args: argparse.Namespace) -> int:
             site,
             terms=terms[: args.drift_pages],
             mutate=mutate_page_structure
-            if getattr(args, "drift_structure", False)
+            if args.drift_structure
             else mutate_page_text,
             seed=args.seed,
         )
-    thor = Thor(config, fault_plan=_fault_plan(args))
+    thor = Thor(config, fault_plan=plan)
     result = thor.run(
         source,
         options=RunOptions(
-            run_id=args.run_id,
-            resume=args.resume,
-            incremental=getattr(args, "incremental", False),
+            run_id=args.run_id, resume=args.resume, incremental=args.incremental
         ),
     )
     export_result(result, args.out, include_html=args.html)
@@ -291,7 +240,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"-> {args.out}"
     )
     print(f"result-digest: {digest}")
-    if getattr(args, "incremental", False):
+    if args.incremental:
         from repro.resilience import format_incremental_counters
 
         print("incremental: " + format_incremental_counters(thor.report()))
@@ -344,7 +293,9 @@ def _parse_fleet_sites(text: str, records: int) -> list:
     return sites
 
 
-def cmd_fleet(args: argparse.Namespace) -> int:
+def cmd_fleet(
+    args: argparse.Namespace, config: ThorConfig, plan: Optional[FaultPlan]
+) -> int:
     """Submit (or resume) N sites as one job and print the fleet report.
 
     The printed report ends with a deterministic ``fleet-digest:`` line
@@ -371,21 +322,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     except (ValueError, ConfigError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    config = _thor_config(args)
-    # For a fleet, --jobs means sites in flight (FleetConfig.site_jobs);
-    # each site keeps one fetch in flight.
-    site_jobs = 1 if args.jobs is None else args.jobs
-    config = replace(
-        config,
-        execution=replace(config.execution, n_jobs=1),
-        fleet=FleetConfig(
-            site_jobs=site_jobs, max_sites_per_run=args.max_sites
-        ),
-    )
     options = RunOptions(
-        run_id=args.fleet_id,
-        resume=args.resume,
-        fault_plan=_fault_plan(args),
+        run_id=args.fleet_id, resume=args.resume, fault_plan=plan
     )
     try:
         report = api.run_fleet(spec, config, options)
@@ -393,36 +331,16 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     print(format_fleet_report(report))
-    if getattr(args, "report", False) and report.scheduler is not None:
+    if args.report and report.scheduler is not None:
         from repro.resilience import format_run_report
 
         print(format_run_report(report.scheduler))
     return 3 if report.quarantined else 0
 
 
-def _transport_config(args: argparse.Namespace):
-    """A :class:`TransportConfig` with the CLI's overrides applied."""
-    from repro.config import TransportConfig
-
-    overrides: dict = {}
-    if args.transport_connect_timeout is not None:
-        overrides["connect_timeout_s"] = args.transport_connect_timeout
-    if args.transport_read_timeout is not None:
-        overrides["read_timeout_s"] = args.transport_read_timeout
-    if args.transport_max_redirects is not None:
-        overrides["max_redirects"] = args.transport_max_redirects
-    if args.transport_max_bytes is not None:
-        overrides["max_response_bytes"] = args.transport_max_bytes
-    if args.no_robots:
-        overrides["obey_robots"] = False
-    if args.breaker_failures is not None:
-        overrides["breaker_failures"] = args.breaker_failures
-    if args.breaker_cooldown is not None:
-        overrides["breaker_cooldown"] = args.breaker_cooldown
-    return TransportConfig(**overrides)
-
-
-def cmd_crawl(args: argparse.Namespace) -> int:
+def cmd_crawl(
+    args: argparse.Namespace, config: ThorConfig, plan: Optional[FaultPlan]
+) -> int:
     """Run (or resume) a checkpointed crawl.
 
     Three fetch modes: the default simulated web, real HTTP from
@@ -436,64 +354,47 @@ def cmd_crawl(args: argparse.Namespace) -> int:
     arguments.
     """
     from repro import api
-    from repro.config import CrawlConfig
     from repro.errors import ConfigError, ResumeError, ThorError
     from repro.frontier.service import format_crawl_report
 
-    config = _thor_config(args)
     harness = None
     fetcher = None
+    seeds = None
     try:
-        defaults = CrawlConfig()
-        crawl_config = CrawlConfig(
-            max_pages=args.max_pages,
-            batch_size=args.batch_size,
-            max_depth=args.max_depth,
-            exclude=tuple(args.exclude or ()),
-            rate=args.rate,
-            burst=defaults.burst if args.burst is None else args.burst,
-            max_pages_per_run=args.max_pages_per_run,
-            corpus_shard_pages=args.shard_pages,
-        )
-        if args.hostile_ports or args.urls:
-            from repro.transport.http import HttpFetcher
+        if args.hostile_ports:
+            from repro.transport.testserver import HostilePair
 
-            transport_config = _transport_config(args)
-            config = replace(
-                config, crawl=crawl_config, transport=transport_config
-            )
-            if args.hostile_ports:
-                from repro.transport.testserver import HostilePair
-
-                try:
-                    healthy_port, doomed_port = (
-                        int(part) for part in args.hostile_ports.split(",")
-                    )
-                except ValueError:
-                    raise ValueError(
-                        "--hostile-ports takes two comma-separated ports, "
-                        f"e.g. 8765,8766 (got {args.hostile_ports!r})"
-                    )
-                harness = HostilePair(
-                    seed=args.seed,
-                    healthy_port=healthy_port,
-                    doomed_port=doomed_port,
-                ).start()
-                seeds = harness.seeds
-            else:
-                seeds = tuple(args.urls)
-            fetcher = HttpFetcher(transport_config, seed=args.seed)
-            fetch_source: object = fetcher
-        else:
+            try:
+                healthy_port, doomed_port = (
+                    int(part) for part in args.hostile_ports.split(",")
+                )
+            except ValueError:
+                raise ValueError(
+                    "--hostile-ports takes two comma-separated ports, "
+                    f"e.g. 8765,8766 (got {args.hostile_ports!r})"
+                )
+            harness = HostilePair(
+                seed=args.seed,
+                healthy_port=healthy_port,
+                doomed_port=doomed_port,
+            ).start()
+            seeds = harness.seeds
+        elif args.urls:
+            seeds = tuple(args.urls)
+        if seeds is None:
             from repro.discovery.web import SimulatedWeb
 
-            config = replace(config, crawl=crawl_config)
-            seeds = None
-            fetch_source = SimulatedWeb(
+            fetch_source: object = SimulatedWeb(
                 n_pages=args.web_pages,
                 n_portals=args.web_portals,
                 seed=args.seed,
                 records_per_site=args.records,
+            )
+        else:
+            from repro.transport.http import HttpFetcher
+
+            fetch_source = fetcher = HttpFetcher(
+                config.transport, seed=args.seed
             )
     except (ValueError, ThorError, OSError) as exc:
         if harness is not None:
@@ -501,9 +402,7 @@ def cmd_crawl(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     options = RunOptions(
-        run_id=args.crawl_id,
-        resume=args.resume,
-        fault_plan=_fault_plan(args),
+        run_id=args.crawl_id, resume=args.resume, fault_plan=plan
     )
     try:
         report = api.crawl(fetch_source, seeds=seeds, config=config,
@@ -548,11 +447,18 @@ def cmd_artifacts_gc(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    if not os.path.isdir(root):
+    # Every store a run, fleet or crawl writes keeps its stats.json
+    # ledger at the root. GC deletes every .json/.npz file below the
+    # directory it is given, so it touches no directory without one.
+    if not os.path.isfile(os.path.join(root, "stats.json")):
         print(f"no artifact store at {root}", file=sys.stderr)
         return 1
     max_age_s = None if args.max_age_days is None else args.max_age_days * 86400.0
-    report = collect(root, max_bytes=args.max_bytes, max_age_s=max_age_s)
+    try:
+        report = collect(root, max_bytes=args.max_bytes, max_age_s=max_age_s)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     print(
         f"gc: removed {report.removed_entries} of {report.scanned_entries} "
         f"entries ({report.removed_bytes} of {report.scanned_bytes} bytes)"
@@ -561,10 +467,11 @@ def cmd_artifacts_gc(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_demo(args: argparse.Namespace) -> int:
+def cmd_demo(
+    args: argparse.Namespace, config: ThorConfig, plan: Optional[FaultPlan]
+) -> int:
     site = make_site(args.domain, seed=args.seed, records=args.records)
-    thor = Thor(_thor_config(args))
-    result = thor.run(site)
+    result = Thor(config).run(site)
     print(f"Site: {site.theme.host} ({args.domain}, {len(site.database)} records)")
     print(f"Pages: {len(result.pages)}; pagelets: {len(result.pagelets)}")
     for part in result.partitioned[: args.show]:
@@ -576,8 +483,10 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_search(args: argparse.Namespace) -> int:
-    engine = DeepWebSearchEngine(_thor_config(args))
+def cmd_search(
+    args: argparse.Namespace, config: ThorConfig, plan: Optional[FaultPlan]
+) -> int:
+    engine = DeepWebSearchEngine(config)
     domains = [d.strip() for d in args.domains.split(",") if d.strip()]
     for index, domain in enumerate(domains):
         summary = engine.register(
@@ -603,10 +512,9 @@ def cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stage_timeout_entry(text: str):
+def _stage_timeout_entry(text: str) -> dict:
     """Argparse type for ``--stage-timeout [STAGE=]SECONDS``: the
-    ``(stage, seconds)`` pairs it sets — every stage when none is
-    named."""
+    deadline of each stage it sets — every stage when none is named."""
     stage, sep, value = text.rpartition("=")
     if not sep:
         stage = "every stage"
@@ -624,11 +532,29 @@ def _stage_timeout_entry(text: str):
         raise argparse.ArgumentTypeError(
             f"bad deadline {value!r} for stage {stage!r}: must be > 0"
         )
-    return [
-        (name, seconds)
-        for name in WATCHDOG_STAGES
-        if not sep or name == stage
-    ]
+    return {
+        name: seconds for name in WATCHDOG_STAGES if not sep or name == stage
+    }
+
+
+class _StageTimeoutAction(argparse.Action):
+    """Folds each ``--stage-timeout`` entry into one
+    :class:`StageTimeouts`, a later entry overriding an earlier one."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        timeouts = getattr(namespace, self.dest, StageTimeouts())
+        setattr(namespace, self.dest, replace(timeouts, **values))
+
+
+def _milliseconds(text: str) -> float:
+    """Argparse type for ``--fault-latency-ms``: the flag takes
+    milliseconds, :attr:`FaultSpec.latency_s` holds seconds."""
+    try:
+        return float(text) / 1000.0
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}"
+        ) from None
 
 
 def _quota_entry(text: str):
@@ -645,110 +571,130 @@ def _quota_entry(text: str):
     return (tenant, limit)
 
 
+def _field_flag(
+    parser: argparse.ArgumentParser, option: str, path: str, **kwargs
+) -> None:
+    """Add ``option`` as the flag that sets field ``path``: a
+    :class:`ThorConfig` path such as ``clustering.k``, or a ``fault_plan.``
+    one. Left unset, the flag puts nothing on the namespace, so the
+    field keeps its dataclass default; its metavar is the one argparse
+    derives from the option name."""
+    if "choices" not in kwargs:
+        kwargs.setdefault("metavar", option[2:].replace("-", "_").upper())
+    parser.add_argument(option, dest=path, default=argparse.SUPPRESS, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="THOR deep-web QA-Pagelet extraction"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name: str, func, summary: str, jobs: str = "execution.n_jobs"):
+        """A computing subcommand with the execution and chaos flags
+        every one of them shares; ``--jobs`` sets field ``jobs``."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        _field_flag(
+            p, "--jobs", jobs, type=int,
+            help="a site's in-flight probe and crawl fetches (fleet: sites "
+                 "in flight, one worker process each; nothing else starts a "
+                 "process; default 1 = serial, 0 = one per core)",
+        )
+        _field_flag(
+            p, "--cache-dir", "execution.cache_dir",
+            help="persistent artifact-cache directory (also honoured from "
+                 "the REPRO_CACHE_DIR environment variable)",
+        )
+        _field_flag(
+            p, "--no-artifact-cache", "execution.artifact_cache",
+            action="store_const", const="off",
+            help="disable the persistent artifact cache, even if "
+                 "REPRO_CACHE_DIR is set",
+        )
+        _field_flag(
+            p, "--no-recovery", "execution.recovery",
+            action="store_const", const="off",
+            help="fail fast on worker crashes instead of retrying and "
+                 "falling back to serial execution (fleet only: a site run "
+                 "starts no worker)",
+        )
+        _field_flag(
+            p, "--chunk-retries", "execution.chunk_retries", type=int,
+            help="parallel-chunk retry rounds before the serial fallback "
+                 "(default 2; fleet only: a site run starts no worker)",
+        )
+        _field_flag(
+            p, "--stage-timeout", "execution.stage_timeouts",
+            action=_StageTimeoutAction, type=_stage_timeout_entry,
+            metavar="[STAGE=]SECONDS",
+            help="wall-clock watchdog deadline, repeatable: STAGE=SECONDS "
+                 "sets one stage ("
+                 + ", ".join(WATCHDOG_STAGES)
+                 + "), a bare SECONDS every stage; later entries win "
+                   "(default: no deadline)",
+        )
+        _field_flag(
+            p, "--min-surviving-fraction", "execution.min_surviving_fraction",
+            type=float,
+            help="abort extraction when fewer than this fraction of pages "
+                 "survives the quarantine scan (default 0.5)",
+        )
+        _field_flag(
+            p, "--distance-memo-entries", "execution.distance_memo_entries",
+            type=int,
+            help="LRU cap on memoized Phase-2 distance matrices "
+                 "(default 256; 0 disables the memo)",
+        )
+        p.add_argument(
+            "--report", action="store_true",
+            help="print the run report (quarantined units, retries, "
+                 "fallbacks, timeouts, resume hits, injected faults)",
+        )
+        # Seeded chaos injection (repro.resilience.faults): deterministic
+        # crash/corruption drills for the recovery machinery.
+        _field_flag(
+            p, "--chaos-seed", "fault_plan.seed", type=int,
+            help="seed for the chaos fault plan (default: --seed)",
+        )
+        _field_flag(
+            p, "--chaos-worker-crash-rate", "fault_plan.worker_crash_rate",
+            type=float,
+            help="injected worker-pool crash probability per chunk attempt "
+                 "(fleet only: a site run starts no worker)",
+        )
+        _field_flag(
+            p, "--chaos-chunk-error-rate", "fault_plan.chunk_error_rate",
+            type=float,
+            help="injected in-worker exception probability per chunk "
+                 "attempt (fleet only: a site run starts no worker)",
+        )
+        _field_flag(
+            p, "--chaos-artifact-corrupt-rate",
+            "fault_plan.artifact_corrupt_rate", type=float,
+            help="injected torn-write probability per artifact publish",
+        )
+        _field_flag(
+            p, "--chaos-page-failure-rate", "fault_plan.page_failure_rate",
+            type=float,
+            help="injected page-analysis failure probability per page "
+                 "(quarantine drill)",
+        )
+        return p
+
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--records", type=int, default=150)
-        p.add_argument("--k", type=int, default=None, help="page clusters")
-        p.add_argument("--top-m", type=int, default=None, dest="top_m",
-                       help="clusters forwarded to phase 2")
+        _field_flag(p, "--k", "clustering.k", type=int, help="page clusters")
+        _field_flag(p, "--top-m", "clustering.top_m", type=int,
+                    help="clusters forwarded to phase 2")
 
-    # Execution flags shared by every subcommand that computes
-    # (extract/demo/search); they land on ThorConfig.execution.
-    execution = argparse.ArgumentParser(add_help=False)
-    execution.add_argument(
-        "--jobs", type=int, default=None,
-        help="a site's in-flight probe and crawl fetches (fleet: sites "
-             "in flight, one worker process each; nothing else starts a "
-             "process; default 1 = serial, 0 = one per core)",
-    )
-    execution.add_argument(
-        "--cache-dir", default=None, dest="cache_dir",
-        help="persistent artifact-cache directory (also honoured from "
-             "the REPRO_CACHE_DIR environment variable)",
-    )
-    execution.add_argument(
-        "--no-artifact-cache", action="store_true", dest="no_artifact_cache",
-        help="disable the persistent artifact cache, even if "
-             "REPRO_CACHE_DIR is set",
-    )
-    execution.add_argument(
-        "--no-recovery", action="store_true", dest="no_recovery",
-        help="fail fast on worker crashes instead of retrying and "
-             "falling back to serial execution",
-    )
-    execution.add_argument(
-        "--chunk-retries", type=int, default=None, dest="chunk_retries",
-        help="parallel-chunk retry rounds before the serial fallback "
-             "(default 2)",
-    )
-    execution.add_argument(
-        "--stage-timeout", action="append", type=_stage_timeout_entry,
-        default=None, dest="stage_timeout", metavar="[STAGE=]SECONDS",
-        help="wall-clock watchdog deadline, repeatable: STAGE=SECONDS "
-             "sets one stage ("
-             + ", ".join(WATCHDOG_STAGES)
-             + "), a bare SECONDS every stage; later entries win "
-               "(default: no deadline)",
-    )
-    execution.add_argument(
-        "--min-surviving-fraction", type=float, default=None,
-        dest="min_surviving_fraction",
-        help="abort extraction when fewer than this fraction of pages "
-             "survives the quarantine scan (default 0.5)",
-    )
-    execution.add_argument(
-        "--distance-memo-entries", type=int, default=None,
-        dest="distance_memo_entries",
-        help="LRU cap on memoized Phase-2 distance matrices "
-             "(default 256; 0 disables the memo)",
-    )
-    execution.add_argument(
-        "--report", action="store_true",
-        help="print the run report (quarantined units, retries, "
-             "fallbacks, timeouts, resume hits, injected faults)",
-    )
-    # Seeded chaos injection (repro.resilience.faults): deterministic
-    # crash/corruption drills for the recovery machinery.
-    execution.add_argument(
-        "--chaos-seed", type=int, default=None, dest="chaos_seed",
-        help="seed for the chaos fault plan (default: --seed)",
-    )
-    execution.add_argument(
-        "--chaos-worker-crash-rate", type=float, default=0.0,
-        dest="chaos_worker_crash_rate",
-        help="injected worker-pool crash probability per chunk attempt",
-    )
-    execution.add_argument(
-        "--chaos-chunk-error-rate", type=float, default=0.0,
-        dest="chaos_chunk_error_rate",
-        help="injected in-worker exception probability per chunk attempt",
-    )
-    execution.add_argument(
-        "--chaos-artifact-corrupt-rate", type=float, default=0.0,
-        dest="chaos_artifact_corrupt_rate",
-        help="injected torn-write probability per artifact publish",
-    )
-    execution.add_argument(
-        "--chaos-page-failure-rate", type=float, default=0.0,
-        dest="chaos_page_failure_rate",
-        help="injected page-analysis failure probability per page "
-             "(quarantine drill)",
-    )
-
-    probe = sub.add_parser(
-        "probe", help="probe a site, cache the pages", parents=[execution]
-    )
+    probe = command("probe", cmd_probe, "probe a site, cache the pages")
     common(probe)
     probe.add_argument("--domain", default="ecommerce")
     probe.add_argument("--out", default="pages.jsonl")
-    probe.add_argument(
-        "--rate", type=float, default=None,
+    _field_flag(
+        probe, "--rate", "probing.rate", type=float,
         help="per-site probe rate budget in probes/s (default unlimited)",
     )
     probe.add_argument(
@@ -756,32 +702,27 @@ def build_parser() -> argparse.ArgumentParser:
         help="print per-run probe telemetry (outcomes, retries, throughput)",
     )
     # Fault injection (repro.probe.faults): exercise retries and the
-    # rate budget against a simulated misbehaving site.
-    probe.add_argument("--fault-latency-ms", type=float, default=0.0,
-                       dest="fault_latency_ms",
-                       help="injected per-probe latency in milliseconds")
-    probe.add_argument("--fault-error-rate", type=float, default=0.0,
-                       dest="fault_error_rate",
-                       help="injected transient server-error probability")
-    probe.add_argument("--fault-throttle-rate", type=float, default=0.0,
-                       dest="fault_throttle_rate",
-                       help="injected throttling probability")
-    probe.set_defaults(func=cmd_probe)
+    # rate budget against a simulated misbehaving site. The flags fill
+    # the chaos plan's source faults.
+    _field_flag(probe, "--fault-latency-ms", "fault_plan.source.latency_s",
+                type=_milliseconds,
+                help="injected per-probe latency in milliseconds")
+    _field_flag(probe, "--fault-error-rate", "fault_plan.source.error_rate",
+                type=float,
+                help="injected transient server-error probability")
+    _field_flag(probe, "--fault-throttle-rate",
+                "fault_plan.source.throttle_rate", type=float,
+                help="injected throttling probability")
 
-    extract = sub.add_parser(
-        "extract", help="extract from cached pages", parents=[execution]
-    )
+    extract = command("extract", cmd_extract, "extract from cached pages")
     common(extract)
     extract.add_argument("--pages", required=True)
     extract.add_argument("--out", default="result.json")
     extract.add_argument("--html", action="store_true",
                          help="include pagelet HTML in the export")
-    extract.set_defaults(func=cmd_extract)
 
-    run = sub.add_parser(
-        "run",
-        help="probe + extract + partition, print a result digest",
-        parents=[execution],
+    run = command(
+        "run", cmd_run, "probe + extract + partition, print a result digest"
     )
     common(run)
     run.add_argument("--domain", default="ecommerce")
@@ -808,16 +749,15 @@ def build_parser() -> argparse.ArgumentParser:
              "(requires --cache-dir or REPRO_CACHE_DIR; the result "
              "digest matches a from-scratch run bitwise)",
     )
-    run.add_argument(
-        "--incremental-mode", choices=list(INCREMENTAL_MODES),
-        default=None, dest="incremental_mode",
+    _field_flag(
+        run, "--incremental-mode", "incremental.mode",
+        choices=list(INCREMENTAL_MODES),
         help="drift response for --incremental: auto lets "
              "--drift-threshold decide, assign never refits on drift, "
              "refit always refits (default auto)",
     )
-    run.add_argument(
-        "--drift-threshold", type=float, default=None,
-        dest="drift_threshold",
+    _field_flag(
+        run, "--drift-threshold", "incremental.drift_threshold", type=float,
         help="template drift (1 - Jaccard over tag paths) above this "
              "triggers a full refit under --incremental (default 0.35)",
     )
@@ -832,12 +772,11 @@ def build_parser() -> argparse.ArgumentParser:
              "displacing tag paths so --incremental trips the drift "
              "threshold and refits",
     )
-    run.set_defaults(func=cmd_run)
 
-    fleet = sub.add_parser(
-        "fleet",
-        help="run N sites as one resumable job, print a fleet digest",
-        parents=[execution],
+    fleet = command(
+        "fleet", cmd_fleet,
+        "run N sites as one resumable job, print a fleet digest",
+        jobs="fleet.site_jobs",
     )
     common(fleet)
     fleet.add_argument(
@@ -857,8 +796,8 @@ def build_parser() -> argparse.ArgumentParser:
              "resume the rest from their probe/cluster checkpoints "
              "(the fleet digest matches an uninterrupted run)",
     )
-    fleet.add_argument(
-        "--max-sites", type=int, default=None, dest="max_sites",
+    _field_flag(
+        fleet, "--max-sites", "fleet.max_sites_per_run", type=int,
         help="admit at most this many sites this invocation and defer "
              "the rest (graceful drain; finish with --resume)",
     )
@@ -871,14 +810,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--default-quota", type=int, default=None, dest="default_quota",
         help="per-wave site cap for tenants without an explicit --quota",
     )
-    fleet.set_defaults(func=cmd_fleet)
 
-    crawl = sub.add_parser(
-        "crawl",
-        help="crawl a simulated web (or real HTTP, with --url or "
-             "--hostile-ports) through the checkpointed frontier, "
-             "print a corpus digest",
-        parents=[execution],
+    crawl = command(
+        "crawl", cmd_crawl,
+        "crawl a simulated web (or real HTTP, with --url or "
+        "--hostile-ports) through the checkpointed frontier, "
+        "print a corpus digest",
     )
     crawl.add_argument("--seed", type=int, default=0)
     crawl.add_argument(
@@ -893,30 +830,31 @@ def build_parser() -> argparse.ArgumentParser:
         "--web-portals", type=int, default=6, dest="web_portals",
         help="deep-web portal pages hidden in the graph",
     )
-    crawl.add_argument(
-        "--max-pages", type=int, default=200, dest="max_pages",
+    _field_flag(
+        crawl, "--max-pages", "crawl.max_pages", type=int,
         help="total URL budget for the whole crawl (all invocations)",
     )
-    crawl.add_argument(
-        "--batch-size", type=int, default=8, dest="batch_size",
+    _field_flag(
+        crawl, "--batch-size", "crawl.batch_size", type=int,
         help="frontier URLs per scheduling round (fingerprinted: fixed "
              "for the lifetime of a crawl id)",
     )
-    crawl.add_argument(
-        "--max-depth", type=int, default=None, dest="max_depth",
+    _field_flag(
+        crawl, "--max-depth", "crawl.max_depth", type=int,
         help="deepest link depth to follow (default unlimited)",
     )
-    crawl.add_argument(
-        "--rate", type=float, default=None,
+    _field_flag(
+        crawl, "--rate", "crawl.rate", type=float,
         help="per-site politeness budget in fetches/s (token bucket "
              "spanning the whole crawl; default unlimited)",
     )
-    crawl.add_argument(
-        "--burst", type=int, default=None,
+    _field_flag(
+        crawl, "--burst", "crawl.burst", type=int,
         help="politeness token-bucket burst depth (default 2)",
     )
-    crawl.add_argument(
-        "--exclude", action="append", default=None, metavar="PATTERN",
+    _field_flag(
+        crawl, "--exclude", "crawl.exclude", action="append",
+        metavar="PATTERN",
         help="robots-style exclusion, repeatable: /path (any host), "
              "host (whole host), or host:/path",
     )
@@ -931,9 +869,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="continue an interrupted crawl from its checkpoint (the "
              "final corpus digest matches an uninterrupted crawl)",
     )
-    crawl.add_argument(
-        "--max-pages-per-run", type=int, default=None,
-        dest="max_pages_per_run",
+    _field_flag(
+        crawl, "--max-pages-per-run", "crawl.max_pages_per_run", type=int,
         help="stop after this many URL attempts this invocation and "
              "defer the rest (graceful drain; finish with --resume)",
     )
@@ -952,44 +889,44 @@ def build_parser() -> argparse.ArgumentParser:
              "loopback ports and crawl it over real HTTP (fixed ports "
              "keep the corpus digest comparable across runs)",
     )
-    crawl.add_argument(
-        "--shard-pages", type=int, default=None, dest="shard_pages",
+    _field_flag(
+        crawl, "--shard-pages", "crawl.corpus_shard_pages", type=int,
         help="checkpoint the corpus as immutable JSONL shards of this "
              "many pages (pacing knob; digest-neutral)",
     )
-    crawl.add_argument(
-        "--transport-connect-timeout", type=float, default=None,
-        dest="transport_connect_timeout", metavar="S",
+    _field_flag(
+        crawl, "--transport-connect-timeout", "transport.connect_timeout_s",
+        type=float, metavar="S",
         help="TCP connect timeout in seconds (real-HTTP modes)",
     )
-    crawl.add_argument(
-        "--transport-read-timeout", type=float, default=None,
-        dest="transport_read_timeout", metavar="S",
+    _field_flag(
+        crawl, "--transport-read-timeout", "transport.read_timeout_s",
+        type=float, metavar="S",
         help="per-recv socket read timeout in seconds (real-HTTP modes)",
     )
-    crawl.add_argument(
-        "--transport-max-redirects", type=int, default=None,
-        dest="transport_max_redirects", metavar="N",
+    _field_flag(
+        crawl, "--transport-max-redirects", "transport.max_redirects",
+        type=int, metavar="N",
         help="redirect-chain cap before the fetch counts as malformed",
     )
-    crawl.add_argument(
-        "--transport-max-bytes", type=int, default=None,
-        dest="transport_max_bytes", metavar="N",
+    _field_flag(
+        crawl, "--transport-max-bytes", "transport.max_response_bytes",
+        type=int, metavar="N",
         help="response-size cap in bytes before the body is abandoned",
     )
-    crawl.add_argument(
-        "--no-robots", action="store_true", dest="no_robots",
+    _field_flag(
+        crawl, "--no-robots", "transport.obey_robots",
+        action="store_const", const=False,
         help="skip robots.txt retrieval and enforcement (test servers)",
     )
-    crawl.add_argument(
-        "--breaker-failures", type=int, default=None, dest="breaker_failures",
+    _field_flag(
+        crawl, "--breaker-failures", "transport.breaker_failures", type=int,
         help="consecutive per-site failures that trip the circuit breaker",
     )
-    crawl.add_argument(
-        "--breaker-cooldown", type=int, default=None, dest="breaker_cooldown",
+    _field_flag(
+        crawl, "--breaker-cooldown", "transport.breaker_cooldown", type=int,
         help="rejected attempts an open breaker waits before half-open",
     )
-    crawl.set_defaults(func=cmd_crawl)
 
     gc = sub.add_parser(
         "artifacts-gc",
@@ -1004,30 +941,30 @@ def build_parser() -> argparse.ArgumentParser:
                     help="evict entries older than this many days")
     gc.set_defaults(func=cmd_artifacts_gc)
 
-    demo = sub.add_parser(
-        "demo", help="probe + extract + print", parents=[execution]
-    )
+    demo = command("demo", cmd_demo, "probe + extract + print")
     common(demo)
     demo.add_argument("--domain", default="ecommerce")
     demo.add_argument("--show", type=int, default=3)
-    demo.set_defaults(func=cmd_demo)
 
-    search = sub.add_parser(
-        "search", help="deep-web search engine demo", parents=[execution]
-    )
+    search = command("search", cmd_search, "deep-web search engine demo")
     common(search)
     search.add_argument("--domains", default="ecommerce,music")
     search.add_argument("--query", required=True)
     search.add_argument("--top-k", type=int, default=8, dest="top_k")
-    search.set_defaults(func=cmd_search)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    if args.func is cmd_artifacts_gc:  # the one command without a pipeline
+        return cmd_artifacts_gc(args)
+    try:
+        config, plan = _thor_config(args), _fault_plan(args)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    return args.func(args, config, plan)
 
 
 if __name__ == "__main__":

@@ -359,6 +359,12 @@ class ClusteringConfig:
     #: combination".
     ranking_weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
 
+    def __post_init__(self) -> None:
+        for name in ("k", "restarts", "top_m"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+
 
 @dataclass(frozen=True)
 class SubtreeConfig:
@@ -490,6 +496,9 @@ class CrawlConfig:
     corpus_shard_pages: Optional[int] = None
 
     def __post_init__(self) -> None:
+        # A list of patterns (argparse's ``append``) names the same crawl
+        # as the tuple: one fingerprint, and a hashable config.
+        object.__setattr__(self, "exclude", tuple(self.exclude))
         if self.max_pages < 1:
             raise ValueError(f"max_pages must be >= 1, got {self.max_pages}")
         if self.batch_size < 1:

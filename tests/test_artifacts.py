@@ -298,6 +298,15 @@ class TestGc:
         assert report.removed_entries == 1
         assert not os.path.exists(stale)
 
+    @pytest.mark.parametrize("bound", [{"max_bytes": -1}, {"max_age_s": -1.0}])
+    def test_negative_bound_rejected(self, tmp_path, bound):
+        # A negative bound would evict every entry; it is refused
+        # before the scan.
+        self._fill(tmp_path)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            collect(tmp_path, **bound)
+        assert len(list(iter_entries(tmp_path))) == 6
+
     def test_stats_ledger_never_evicted(self, tmp_path):
         self._fill(tmp_path)
         paths = [path for path, _, _ in iter_entries(tmp_path)]

@@ -254,7 +254,10 @@ class TestCliChaosSmoke:
             "run", "--domain", "music", "--seed", "2", "--records", "40",
             "--cache-dir", str(tmp_path / "cache"), "--run-id", "smoke",
             "--out", out, "--report",
-            "--chaos-worker-crash-rate", "0.3", "--jobs", "2",
+            # A site run starts no worker, so the crash rate has nowhere
+            # to land; the page-failure rate injects on both legs.
+            "--chaos-worker-crash-rate", "0.3",
+            "--chaos-page-failure-rate", "0.05", "--jobs", "2",
         ]
         assert main(base) == 0
         first = capsys.readouterr().out
@@ -270,6 +273,9 @@ class TestCliChaosSmoke:
         assert digest_line(first) == digest_line(second)
         assert "run report:" in first and "run report:" in second
         assert "resume-hits=2" in second  # probe + cluster checkpoints
+        for leg in (first, second):
+            assert "chaos faults injected: page_fault=3" in leg
+            assert "quarantined: 3" in leg
 
     def test_resume_without_run_id_is_an_error(self, capsys):
         from repro.cli import main

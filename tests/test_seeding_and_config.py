@@ -10,6 +10,7 @@ from repro.config import (
     DEFAULT_CONFIG,
     WATCHDOG_STAGES,
     ClusteringConfig,
+    CrawlConfig,
     ExecutionConfig,
     FleetConfig,
     ProbeConfig,
@@ -94,6 +95,31 @@ class TestConfigDataclasses:
 
     def test_seed_defaults_to_none(self):
         assert ThorConfig().seed is None
+
+    @pytest.mark.parametrize("name", ["k", "restarts", "top_m"])
+    def test_clustering_counts_below_one_rejected(self, name):
+        # In the clusterers' wording, at construction: unchecked,
+        # top_m=0 ran to 0 pagelets and k=0 failed only after the probe.
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
+            ClusteringConfig(**{name: 0})
+        assert getattr(ClusteringConfig(**{name: 1}), name) == 1
+
+
+class TestCrawlConfig:
+    def test_exclude_list_is_the_tuple_crawl(self):
+        from repro.frontier.checkpoint import crawl_fingerprint
+
+        patterns = ["/search", "portal-2.example"]
+        as_list = CrawlConfig(exclude=patterns)
+        as_tuple = CrawlConfig(exclude=tuple(patterns))
+        assert as_list.exclude == tuple(patterns)
+        assert as_list == as_tuple
+        seeds = ("http://x.org/",)
+        assert crawl_fingerprint(seeds, as_list, seed=1) == crawl_fingerprint(
+            seeds, as_tuple, seed=1
+        )
+        assert hash(as_list) == hash(as_tuple)
+        assert hash(ThorConfig(crawl=as_list)) == hash(ThorConfig(crawl=as_tuple))
 
 
 class TestExecutionConfig:
