@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 
 #: Bump when :mod:`repro.html.parser` output changes for the same HTML.
-PARSER_VERSION = 1
+PARSER_VERSION = 2
 
 #: Bump when the layout of a page-pack bundle changes (tag counts,
 #: term counts, max fanout, template fingerprint, tree codec —

@@ -39,7 +39,10 @@ its argparse ``dest``: a :class:`~repro.config.ThorConfig` path
 ``--chaos-*`` flags and probe's ``--fault-*`` flags. An unset flag
 leaves nothing on the namespace, so its field keeps the dataclass
 default. :func:`main` builds the config and the fault plan once and
-exits 2 when a config rejects a value.
+exits 2 when a config rejects a value. A run that fails (any
+:class:`~repro.errors.ThorError`) prints its message and exits 1, or 2
+for a :class:`~repro.errors.ConfigError` or
+:class:`~repro.errors.ResumeError`.
 """
 
 from __future__ import annotations
@@ -306,7 +309,7 @@ def cmd_fleet(
     finished, 3 when some were quarantined, 2 on bad arguments.
     """
     from repro import api
-    from repro.errors import ConfigError, ResumeError
+    from repro.errors import ConfigError
     from repro.fleet import FleetSpec, format_fleet_report
 
     try:
@@ -325,11 +328,7 @@ def cmd_fleet(
     options = RunOptions(
         run_id=args.fleet_id, resume=args.resume, fault_plan=plan
     )
-    try:
-        report = api.run_fleet(spec, config, options)
-    except (ConfigError, ResumeError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    report = api.run_fleet(spec, config, options)
     print(format_fleet_report(report))
     if args.report and report.scheduler is not None:
         from repro.resilience import format_run_report
@@ -354,7 +353,7 @@ def cmd_crawl(
     arguments.
     """
     from repro import api
-    from repro.errors import ConfigError, ResumeError, ThorError
+    from repro.errors import ThorError
     from repro.frontier.service import format_crawl_report
 
     harness = None
@@ -407,9 +406,6 @@ def cmd_crawl(
     try:
         report = api.crawl(fetch_source, seeds=seeds, config=config,
                            options=options)
-    except (ConfigError, ResumeError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     finally:
         if fetcher is not None:
             fetcher.close()
@@ -471,7 +467,7 @@ def cmd_demo(
     args: argparse.Namespace, config: ThorConfig, plan: Optional[FaultPlan]
 ) -> int:
     site = make_site(args.domain, seed=args.seed, records=args.records)
-    result = Thor(config).run(site)
+    result = Thor(config, fault_plan=plan).run(site)
     print(f"Site: {site.theme.host} ({args.domain}, {len(site.database)} records)")
     print(f"Pages: {len(result.pages)}; pagelets: {len(result.pagelets)}")
     for part in result.partitioned[: args.show]:
@@ -486,7 +482,7 @@ def cmd_demo(
 def cmd_search(
     args: argparse.Namespace, config: ThorConfig, plan: Optional[FaultPlan]
 ) -> int:
-    engine = DeepWebSearchEngine(config)
+    engine = DeepWebSearchEngine(config, fault_plan=plan)
     domains = [d.strip() for d in args.domains.split(",") if d.strip()]
     for index, domain in enumerate(domains):
         summary = engine.register(
@@ -956,6 +952,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    from repro.errors import ConfigError, ResumeError, ThorError
+
     args = build_parser().parse_args(argv)
     if args.func is cmd_artifacts_gc:  # the one command without a pipeline
         return cmd_artifacts_gc(args)
@@ -964,7 +962,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    return args.func(args, config, plan)
+    try:
+        return args.func(args, config, plan)
+    except (ConfigError, ResumeError) as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    except ThorError as exc:  # a pipeline failure, e.g. too few pages survived
+        print(str(exc), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

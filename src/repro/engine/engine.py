@@ -20,6 +20,7 @@ from repro.core.thor import Thor, ThorResult
 from repro.engine.documents import ObjectDocument
 from repro.engine.index import InvertedIndex, SearchHit
 from repro.errors import ThorError
+from repro.resilience.faults import FaultPlan
 
 
 @dataclass(frozen=True)
@@ -51,12 +52,19 @@ class SiteHit:
 
 
 class DeepWebSearchEngine:
-    """Probe, extract, index, retrieve."""
+    """Probe, extract, index, retrieve.
+
+    Every registration runs under ``fault_plan`` when one is given: the
+    seeded chaos plan :class:`~repro.core.thor.Thor` takes.
+    """
 
     def __init__(
-        self, config: ThorConfig = DEFAULT_CONFIG, deduplicate: bool = True
+        self,
+        config: ThorConfig = DEFAULT_CONFIG,
+        deduplicate: bool = True,
+        fault_plan: Optional[FaultPlan] = None,
     ) -> None:
-        self._thor = Thor(config)
+        self._thor = Thor(config, fault_plan=fault_plan)
         self._index = InvertedIndex()
         self._summaries: dict[str, SiteSummary] = {}
         self._next_doc_id = 0

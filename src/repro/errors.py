@@ -13,10 +13,10 @@ class ThorError(Exception):
 
 
 class HtmlParseError(ThorError):
-    """Raised when the HTML tokenizer or parser meets input it cannot
-    recover from (the parser is lenient, so this is rare and indicates a
-    bug or truly pathological input such as an unterminated quoted
-    attribute at end-of-document when strict mode is requested)."""
+    """Raised when the HTML parser meets input it cannot recover from
+    (the parser is lenient, so this is rare and indicates a bug or
+    truly pathological input such as an unterminated quoted attribute
+    at end-of-document when strict mode is requested)."""
 
 
 class PathSyntaxError(ThorError):

@@ -1,16 +1,16 @@
-"""HTML substrate: tokenizer, tidy-style cleanup, tag trees, and paths.
+"""HTML substrate: parser, tidy-style cleanup, tag trees, and paths.
 
 The paper models every page as a *tag tree* (a DOM variant where tag
 nodes span start-tag..end-tag and content nodes are the text leaves),
 preprocessed with HTML Tidy. This package implements that substrate
 from scratch:
 
-- :mod:`repro.html.tokenizer` — a lenient HTML tokenizer.
+- :mod:`repro.html.parser` — a lenient one-pass parser: HTML text →
+  tree, applying the HTML recovery rules as it scans.
 - :mod:`repro.html.tidy` — the subset of HTML Tidy behaviour THOR
   relies on (implicit closes, case folding, junk removal).
 - :mod:`repro.html.tree` — :class:`TagNode` / :class:`ContentNode` /
   :class:`TagTree`.
-- :mod:`repro.html.parser` — tokens → tree with HTML recovery rules.
 - :mod:`repro.html.paths` — XPath-style path expressions
   (``html/body/table[3]``) and the q-letter simplified paths used by
   the subtree distance function.

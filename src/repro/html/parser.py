@@ -1,14 +1,28 @@
-"""Token stream → tag tree, with HTML error recovery.
+"""HTML text → tag tree in one pass, with HTML error recovery.
 
-The parser implements the recovery rules that matter for building
+:func:`parse` scans the document once and builds the tree as it goes:
+it finds each piece of markup with one precompiled regex, applies the
+recovery rules to its open-element stack, and never materializes a
+token. The recovery rules are the ones that matter for building
 sensible trees from the wild HTML the paper's crawl met (and that HTML
 Tidy applied before THOR saw the pages):
 
-- *Void elements* (``<br>``, ``<img>``, …) never take children.
+- A ``<`` that does not begin a plausible tag is text. Attribute
+  values may be double-quoted, single-quoted, or bare; an unterminated
+  quote runs to the end of the document, and junk between attributes
+  is skipped one character at a time. Tag and attribute names are
+  lower-cased; text and attribute values are entity-decoded.
+- *Raw-text elements* (``<script>``, ``<style>``, ``<textarea>``,
+  ``<title>``) hold their content verbatim up to the matching close
+  tag, found in any ASCII letter case.
+- Comments, doctypes, processing instructions and bogus declarations
+  (``<!foo>``) are dropped; ``<![CDATA[...]]>`` is verbatim text.
+- *Void elements* (``<br>``, ``<img>``, …) never take children, and
+  neither does a self-closing tag (``<div/>``).
 - *Implicit closes*: ``<li>`` closes an open ``<li>``, ``<td>`` closes
   ``<td>``/``<th>``, ``<tr>`` closes ``<tr>`` (and any open cell),
   ``<p>`` closes ``<p>``, ``<option>`` closes ``<option>``, table
-  sections close each other.
+  sections close each other — never across a scope boundary.
 - An end tag with no matching open element is dropped; an end tag for a
   non-innermost element closes everything inside it (browser behaviour).
 - Documents without a single ``<html>`` root get one synthesized so
@@ -17,22 +31,20 @@ Tidy applied before THOR saw the pages):
 
 Whitespace-only text between tags is dropped by default — it carries no
 content and would create noise content-leaves.
+
+The two-stage formulation this replaced — a cursor tokenizer yielding
+token objects, then a tree builder — is the test-only reference
+``tests/oracles/html.py``, which reads the tables below; the two must
+build the same tree for every document.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+import re
+from typing import Optional
 
-from repro.html.tokenizer import (
-    Comment,
-    Doctype,
-    EndTag,
-    StartTag,
-    Text,
-    Token,
-    tokenize,
-)
-from repro.html.tree import ContentNode, Node, TagNode, TagTree
+from repro.html.entities import decode_entities
+from repro.html.tree import ContentNode, TagNode, TagTree
 
 #: Elements that cannot have children.
 VOID_ELEMENTS = frozenset(
@@ -57,6 +69,9 @@ VOID_ELEMENTS = frozenset(
         "wbr",
     }
 )
+
+#: Elements whose content is raw text (no nested markup).
+RAWTEXT_ELEMENTS = frozenset({"script", "style", "textarea", "title"})
 
 #: When a key tag opens, close any open element from the value set
 #: first (repeatedly, innermost-out).
@@ -88,86 +103,108 @@ del _block
 #: Opening one of these stops the implicit-close search (scoping
 #: boundary): a new <tr> inside a nested <table> must not close the
 #: outer table's <tr>.
-_SCOPE_BOUNDARIES = frozenset({"table", "html", "body", "select", "ul", "ol", "dl"})
+SCOPE_BOUNDARIES = frozenset({"table", "html", "body", "select", "ul", "ol", "dl"})
+
+# Every pattern is compiled with re.ASCII: names are ASCII letters,
+# digits and ``-_:.`` (``\w`` is [A-Za-z0-9_]), whitespace is the five
+# HTML space characters, and raw-text close tags match in ASCII case
+# only.
+_NAME = r"[A-Za-z][\w\-:.]*"
+_SPACE = r"[ \t\n\r\f]"
+
+#: One attribute as the slow scan reads it: the name, the spaces after
+#: it, and optionally ``=`` with a double-quoted, single-quoted or bare
+#: value. A quote left open runs to the end of the document; a bare
+#: value stops at whitespace, ``>`` or ``/`` and may be empty. On a tag
+#: the fast path accepted, ``findall`` over its attribute text reads the
+#: same pairs.
+_ATTRIBUTE = re.compile(
+    rf"""({_NAME}){_SPACE}*(?:={_SPACE}*(?:"([^"]*)"?|'([^']*)'?|([^ \t\n\r\f>/]*)))?""",
+    re.ASCII,
+)
+
+#: The next piece of markup, by ``lastindex``:
+#:
+#: 3. a well-formed start tag: name (1), attribute text (2) — each
+#:    attribute after whitespace, every quote closed, a bare value
+#:    neither starting with a quote nor followed by anything but
+#:    whitespace, ``/>`` or ``>`` — and ``/`` (3) when self-closing;
+#: 4. any other start tag, left to :func:`_scan_start_tag`;
+#: 5. an end tag and its name (5), through the next ``>``;
+#: 6. ``<!``: a doctype, CDATA section or bogus declaration;
+#: 7. ``<!--``, a comment;
+#: 8. ``<?``, a processing instruction.
+#:
+#: A ``<`` that begins none of these is text and is not matched. In 3,
+#: an empty value must be followed by ``/`` or ``>`` and a bare value
+#: cannot start with a quote; otherwise backtracking could accept a tag
+#: the slow scan reads differently (``<x a= b="c d">`` as ``a=""`` and
+#: ``b="c d"``, where the scan reads ``a='b="c'`` and ``d``).
+_MARKUP = re.compile(
+    rf"""<(?:
+        ({_NAME})
+        ((?:{_SPACE}+{_NAME}(?:{_SPACE}*={_SPACE}*
+            (?:"[^"]*"|'[^']*'|[^ \t\n\r\f>/"'][^ \t\n\r\f>/]*|(?=[/>]))
+        )?)*)
+        {_SPACE}*(/?)>
+      | ([A-Za-z])
+      | /([\w\-:.]*)[^>]*>?
+      | (!)(--)?
+      | (\?)
+    )""",
+    re.ASCII | re.VERBOSE,
+)
+
+_TAG_NAME = re.compile(_NAME, re.ASCII)
+_SPACES = re.compile(rf"{_SPACE}*")
+
+#: ``</name`` of each raw-text element in any ASCII letter case, through
+#: the next ``>``. The search runs on the original text: ``str.lower``
+#: turns each ``İ`` (U+0130) into two code points, which would shift
+#: every offset after it.
+_RAWTEXT_CLOSE = {
+    name: re.compile(f"</{name}[^>]*>?", re.ASCII | re.IGNORECASE)
+    for name in RAWTEXT_ELEMENTS
+}
 
 
-class _TreeBuilder:
-    """Incremental tree construction with an open-element stack."""
-
-    def __init__(self, keep_whitespace: bool) -> None:
-        self.keep_whitespace = keep_whitespace
-        self.top_level: list[Node] = []
-        self.stack: list[TagNode] = []
-
-    def _attach(self, node: Node) -> None:
-        if self.stack:
-            self.stack[-1].append(node)
-        else:
-            self.top_level.append(node)
-
-    def _close_implicit(self, incoming: str) -> None:
-        closers = IMPLICIT_CLOSERS.get(incoming)
-        if not closers:
-            return
-        # Close the *outermost* open element named in `closers` within
-        # the current scope (e.g. an incoming <tr> closes the open <tr>
-        # together with the <td> inside it), but never cross a scope
-        # boundary — a <tr> inside a nested <table> must not close the
-        # outer table's <tr>.
-        outermost = -1
-        for index in range(len(self.stack) - 1, -1, -1):
-            tag = self.stack[index].tag
-            if tag in closers:
-                outermost = index
-                continue
-            if tag in _SCOPE_BOUNDARIES:
-                break
-        if outermost >= 0:
-            del self.stack[outermost:]
-
-    def handle(self, token: Token) -> None:
-        if isinstance(token, StartTag):
-            self._close_implicit(token.name)
-            node = TagNode(token.name, token.attrs)
-            self._attach(node)
-            if not token.self_closing and token.name not in VOID_ELEMENTS:
-                self.stack.append(node)
-        elif isinstance(token, EndTag):
-            if token.name in VOID_ELEMENTS:
-                return
-            for index in range(len(self.stack) - 1, -1, -1):
-                if self.stack[index].tag == token.name:
-                    del self.stack[index:]
-                    return
-            # No matching open element: drop the end tag.
-        elif isinstance(token, Text):
-            data = token.data
-            if not self.keep_whitespace:
-                if not data.strip():
-                    return
-            self._attach(ContentNode(data))
-        # Comments and doctypes carry no structure or content: dropped.
-
-    def finish(self) -> TagNode:
-        """Close all open elements and return a single ``html`` root."""
-        self.stack.clear()
-        roots = self.top_level
-        if len(roots) == 1 and isinstance(roots[0], TagNode) and roots[0].tag == "html":
-            return roots[0]
-        root = TagNode("html")
-        for node in roots:
-            root.append(node)
-        return root
+def _attribute_value(dq: str, sq: str, bare: str) -> str:
+    value = dq or sq or bare
+    return decode_entities(value) if "&" in value else value
 
 
-def parse_tokens(
-    tokens: Iterable[Token], keep_whitespace: bool = False
-) -> TagNode:
-    """Build a tag tree from an iterable of tokens."""
-    builder = _TreeBuilder(keep_whitespace)
-    for token in tokens:
-        builder.handle(token)
-    return builder.finish()
+def _scan_start_tag(
+    html: str, pos: int
+) -> tuple[str, tuple[tuple[str, str], ...], bool, int]:
+    """Read the start tag whose name begins at ``pos`` when the fast
+    pattern rejected it: junk between attributes, an attribute right
+    after a quoted value, an unterminated quote or tag, a ``/`` inside
+    the tag. Returns the name, the attributes, whether the tag closed
+    with ``/>``, and the position after the tag."""
+    end = len(html)
+    found = _TAG_NAME.match(html, pos)
+    name = found.group().lower()
+    pos = found.end()
+    attrs: list[tuple[str, str]] = []
+    while True:
+        pos = _SPACES.match(html, pos).end()
+        if pos >= end:
+            return name, tuple(attrs), False, end
+        char = html[pos]
+        if char == ">":
+            return name, tuple(attrs), False, pos + 1
+        if char == "/":
+            pos = _SPACES.match(html, pos + 1).end()
+            if html.startswith(">", pos):
+                return name, tuple(attrs), True, pos + 1
+            continue
+        found = _ATTRIBUTE.match(html, pos)
+        if found is None:
+            pos += 1  # junk between attributes: skip one character
+            continue
+        key, dq, sq, bare = found.groups("")
+        attrs.append((key.lower(), _attribute_value(dq, sq, bare)))
+        pos = found.end()
 
 
 def parse(
@@ -188,6 +225,115 @@ def parse(
     >>> tree.root.find("p").text()
     'hi'
     """
-    root = parse_tokens(tokenize(html), keep_whitespace=keep_whitespace)
-    size = len(html) if source_size is None else source_size
+    end = len(html)
+    # ``document`` collects the top level; it becomes the synthesized
+    # root unless that level is a single <html> element. It is never
+    # closed or matched: it sits below every open element in ``stack``.
+    document = TagNode("html")
+    stack = [document]
+    top = document
+    pos = text_start = 0
+    search = _MARKUP.search
+    find = html.find
+    closers_of = IMPLICIT_CLOSERS.get
+    while True:
+        found = search(html, pos)
+        start = end if found is None else found.start()
+        if start > text_start:
+            text = html[text_start:start]
+            if "&" in text:
+                text = decode_entities(text)
+            if keep_whitespace or not text.isspace():
+                leaf = ContentNode(text)
+                leaf.parent = top
+                top.children.append(leaf)
+        if found is None:
+            break
+        kind = found.lastindex
+        if kind == 3 or kind == 4:
+            if kind == 3:
+                name = found.group(1).lower()
+                attrs_start, attrs_end = found.span(2)
+                attrs = (
+                    tuple(
+                        [
+                            (key.lower(), _attribute_value(dq, sq, bare))
+                            for key, dq, sq, bare in _ATTRIBUTE.findall(
+                                html, attrs_start, attrs_end
+                            )
+                        ]
+                    )
+                    if attrs_end > attrs_start
+                    else ()
+                )
+                self_closing = found.group(3)
+                pos = found.end()
+            else:
+                name, attrs, self_closing, pos = _scan_start_tag(html, start + 1)
+            closers = closers_of(name)
+            if closers is not None:
+                # Close the *outermost* open element named in `closers`
+                # within the current scope (an incoming <tr> closes the
+                # open <tr> together with the <td> inside it), but never
+                # cross a scope boundary: a <tr> inside a nested <table>
+                # must not close the outer table's <tr>.
+                outermost = 0
+                index = len(stack) - 1
+                while index:
+                    tag = stack[index].tag
+                    if tag in closers:
+                        outermost = index
+                    elif tag in SCOPE_BOUNDARIES:
+                        break
+                    index -= 1
+                if outermost:
+                    del stack[outermost:]
+                    top = stack[-1]
+            node = TagNode(name, attrs)
+            node.parent = top
+            top.children.append(node)
+            if self_closing or name in VOID_ELEMENTS:
+                pass
+            elif name in RAWTEXT_ELEMENTS:
+                # Never pushed: it holds at most its raw text, and the
+                # close tag (or the end of the document) follows it.
+                close = _RAWTEXT_CLOSE[name].search(html, pos)
+                raw = html[pos : end if close is None else close.start()]
+                if raw and (keep_whitespace or not raw.isspace()):
+                    node.append(ContentNode(raw))
+                pos = end if close is None else close.end()
+            else:
+                stack.append(node)
+                top = node
+        elif kind == 5:
+            pos = found.end()
+            name = found.group(5).lower()
+            if name and name not in VOID_ELEMENTS:
+                index = len(stack) - 1
+                while index:
+                    if stack[index].tag == name:
+                        del stack[index:]
+                        top = stack[-1]
+                        break
+                    index -= 1
+        elif kind == 7:
+            close_at = find("-->", start + 4)
+            pos = end if close_at < 0 else close_at + 3
+        elif kind == 6 and html.startswith("[CDATA[", start + 2):
+            close_at = find("]]>", start + 9)
+            raw = html[start + 9 : end if close_at < 0 else close_at]
+            if keep_whitespace or raw.strip():  # kept even when empty
+                top.append(ContentNode(raw))
+            pos = end if close_at < 0 else close_at + 3
+        else:  # a doctype, bogus declaration or processing instruction
+            close_at = find(">", start + 2)
+            pos = end if close_at < 0 else close_at + 1
+        text_start = pos
+    root = document
+    if len(document.children) == 1:
+        only = document.children[0]
+        if isinstance(only, TagNode) and only.tag == "html":
+            root = only
+            root.parent = None
+    size = end if source_size is None else source_size
     return TagTree(root, source_size=size, url=url)

@@ -9,10 +9,10 @@ before parsing. For THOR's algorithms the relevant effects are:
 3. comments, doctypes and processing instructions removed,
 4. character references normalized.
 
-:func:`tidy` runs the full tokenize → recover → serialize pipeline and
-returns *clean* HTML that any strict parser would accept. Because our
-own parser already applies the same recovery rules, ``tidy`` is
-idempotent: ``tidy(tidy(x)) == tidy(x)``.
+:func:`tidy` parses (scanning and recovering in one pass) and
+serializes, returning *clean* HTML that any strict parser would
+accept. Because our own parser already applies the same recovery
+rules, ``tidy`` is idempotent: ``tidy(tidy(x)) == tidy(x)``.
 """
 
 from __future__ import annotations

@@ -56,7 +56,7 @@ class ContentNode(Node):
     __slots__ = ("text",)
 
     def __init__(self, text: str) -> None:
-        super().__init__()
+        self.parent = None  # Node.__init__, without its call on the parse path
         self.text = text
 
     def __repr__(self) -> str:
@@ -75,7 +75,7 @@ class TagNode(Node):
         attrs: tuple[tuple[str, str], ...] = (),
         children: Optional[list[Node]] = None,
     ) -> None:
-        super().__init__()
+        self.parent = None  # Node.__init__, without its call on the parse path
         self.tag = tag
         self.attrs = attrs
         self.children: list[Node] = []

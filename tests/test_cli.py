@@ -442,3 +442,28 @@ class TestCommands:
         ) == 0
         output = capsys.readouterr().out
         assert "registered" in output
+
+    # 90% of the pages fail at the source: the quarantine scan keeps
+    # 13 of 110 and refuses to extract a template from them.
+    CHAOS = ["--seed", "3", "--records", "30", "--chaos-page-failure-rate", "0.9"]
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["demo", "--domain", "music"],
+            ["search", "--domains", "music", "--query", "love"],
+            ["run", "--domain", "music", "--no-artifact-cache"],
+        ],
+        ids=["demo", "search", "run"],
+    )
+    def test_chaos_pipeline_failure_is_a_message(self, command, tmp_path, capsys):
+        out = ["--out", str(tmp_path / "r.json")] if command[0] == "run" else []
+        assert main([*command, *out, *self.CHAOS]) == 1
+        captured = capsys.readouterr()
+        assert "only 13/110 pages survived the quarantine scan" in captured.err
+        assert "Traceback" not in captured.err
+        assert "pagelets" not in captured.out
+
+    def test_checkpointed_run_without_store_exits_2(self, capsys):
+        assert main(["run", "--run-id", "nightly", "--no-artifact-cache"]) == 2
+        assert "need a persistent artifact store" in capsys.readouterr().err

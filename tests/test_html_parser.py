@@ -222,6 +222,28 @@ class TestRawTextElements:
         assert len(script.children) == 1
         assert script.children[0].text == "if (a<b) x();"
 
+    # "İ" (U+0130) lower-cases to two code points: a search in a
+    # lower-cased copy would find the close tag one place late per "İ".
+    def test_dotted_capital_i_in_title(self):
+        tree = parse(
+            "<html><head><title>İstanbul hotels</title></head>"
+            "<body><p>ok</p></body></html>"
+        )
+        assert tree.root.find("title").text() == "İstanbul hotels"
+        assert [c.tag for c in tree.root.children] == ["head", "body"]
+        assert tree.root.find("body").parent is tree.root
+
+    def test_dotted_capital_i_before_script(self):
+        tree = parse("<p>İİİ</p><script>var a = 1;</script><div>after</div>")
+        assert tree.root.find("script").text() == "var a = 1;"
+        assert tree.root.find("div").text() == "after"
+
+    def test_close_tag_matches_ascii_case_only(self):
+        # "ſ" (U+017F) case-folds to "s" but is not an ASCII letter.
+        tree = parse("<script>a</ſcript>b</SCRIPT>c")
+        assert tree.root.find("script").text() == "a</ſcript>b"
+        assert tree.root.children[-1].text == "c"
+
 
 class TestDeepDocuments:
     def test_very_deep_nesting_parses(self):

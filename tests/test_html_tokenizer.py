@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.html.tokenizer import (
+from tests.oracles.html import (
     Comment,
     Doctype,
     EndTag,
